@@ -1,12 +1,14 @@
 //! A small, exact LRU cache.
 //!
-//! The server keeps two of these: completeness verdicts keyed by
-//! `(canonical query, TCS epoch)` and evaluation answers keyed by
-//! `(canonical query, data epoch)`. Capacities are small (hundreds to
-//! thousands of entries), so eviction does a linear minimum-stamp scan —
-//! O(capacity), branch-free, and with no linked-list bookkeeping to get
-//! wrong. At the capacities the server uses, the scan is far cheaper than
-//! the completeness check whose result it caches.
+//! Every engine cache is one of these: completeness verdicts keyed by
+//! `(canonical query, TCS epoch)`, evaluation answers keyed by
+//! `(canonical query, data epoch)`, compiled plans keyed by canonical
+//! query, `analyze state` and `why` replies keyed by epoch pair.
+//! Capacities are small (hundreds to thousands of entries), so eviction
+//! does a linear minimum-stamp scan — O(capacity), branch-free, and with
+//! no linked-list bookkeeping to get wrong. At the capacities the server
+//! uses, the scan is far cheaper than the reasoning whose result it
+//! caches.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -56,6 +58,12 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.map.insert(key, (value, self.tick));
     }
 
+    /// Iterates the cached entries (unspecified order) without touching
+    /// recency — the `plans` introspection request walks this.
+    pub fn entries(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.map.iter().map(|(k, (v, _))| (k, v))
+    }
+
     /// The number of cached entries.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -84,6 +92,9 @@ mod tests {
         c.insert("b", 2);
         assert_eq!(c.get(&"a"), Some(1)); // refresh "a"; "b" is now LRU
         c.insert("c", 3);
+        let mut keys: Vec<&str> = c.entries().map(|(k, _)| *k).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["a", "c"]);
         assert_eq!(c.get(&"b"), None);
         assert_eq!(c.get(&"a"), Some(1));
         assert_eq!(c.get(&"c"), Some(3));

@@ -54,6 +54,7 @@
 //! search fan out over it when it is pooled ([`Engine::with_session_on`]).
 //! The default is sequential, which embeds cleanly in tests and tools.
 
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
@@ -66,7 +67,7 @@ use magik_completeness::{
     ConstraintSet, KMcsOptions, TcSet,
 };
 use magik_datalog::Materialized;
-use magik_exec::{CompiledQuery, ExecStats, Executor, PlanCache};
+use magik_exec::{CompiledQuery, ExecStats, Executor};
 use magik_parser::{parse_atom, parse_query, parse_tcs, print_query};
 use magik_relalg::{Answer, DisplayWith, Fact, Instance, Pred, Snapshot, Vocabulary};
 use magik_storage::{
@@ -77,7 +78,7 @@ use std::sync::Arc;
 
 use crate::cache::LruCache;
 use crate::durability::{Durability, DurabilityOptions, RecoveryReport};
-use crate::metrics::{Metrics, Op};
+use crate::metrics::{Cache, Metrics, Op};
 use crate::replication::ReplicationHub;
 
 /// Default capacity of the verdict cache.
@@ -198,7 +199,7 @@ pub struct Engine {
     /// equality implies query equivalence, so a cached plan stays correct
     /// across data-epoch bumps (statistics drift affects only speed). The
     /// cache is cleared on TCS/vocabulary-shaping events (`compl`).
-    plans: Mutex<PlanCache<CanonicalQuery>>,
+    plans: Mutex<LruCache<CanonicalQuery, Arc<CompiledQuery>>>,
     metrics: Arc<Metrics>,
     /// The optional durability layer ([`Engine::open_durable`]): WAL
     /// appended under the writer mutex before every applied mutation,
@@ -269,7 +270,7 @@ impl Engine {
             answer_cache: Mutex::new(LruCache::new(ANSWER_CACHE_CAP)),
             analysis: Mutex::new(AnalysisCache::new(ANALYSIS_CACHE_CAP)),
             why_cache: Mutex::new(LruCache::new(WHY_CACHE_CAP)),
-            plans: Mutex::new(PlanCache::new(PLAN_CACHE_CAP)),
+            plans: Mutex::new(LruCache::new(PLAN_CACHE_CAP)),
             metrics: Arc::new(Metrics::new()),
             durability: None,
             checkpointer: None,
@@ -407,32 +408,28 @@ impl Engine {
         self.lock_recovering(&self.current, |_| {})
     }
 
-    /// The verdict cache, poison-recovering by **clearing**: an entry
-    /// half-inserted by a panicking thread must never be served, and a
-    /// cold cache costs only recomputation.
-    fn lock_verdicts(&self) -> MutexGuard<'_, LruCache<(CanonicalQuery, u64), bool>> {
-        self.lock_recovering(&self.verdicts, LruCache::clear)
+    /// One of the engine's caches, poison-recovering by **clearing**: an
+    /// entry half-inserted by a panicking thread must never be served,
+    /// and a cold cache costs only recomputation.
+    fn lock_cache<'a, K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        cache: &'a Mutex<LruCache<K, V>>,
+    ) -> MutexGuard<'a, LruCache<K, V>> {
+        self.lock_recovering(cache, LruCache::clear)
     }
 
-    /// The answer cache, poison-recovering by clearing (see
-    /// [`Engine::lock_verdicts`]).
-    fn lock_answers(&self) -> MutexGuard<'_, LruCache<(CanonicalQuery, u64), Vec<Answer>>> {
-        self.lock_recovering(&self.answer_cache, LruCache::clear)
-    }
-
-    /// The state-analysis cache, poison-recovering by clearing.
-    fn lock_analysis(&self) -> MutexGuard<'_, AnalysisCache> {
-        self.lock_recovering(&self.analysis, LruCache::clear)
-    }
-
-    /// The `why` cache, poison-recovering by clearing.
-    fn lock_why(&self) -> MutexGuard<'_, LruCache<(CanonicalQuery, u64, u64), String>> {
-        self.lock_recovering(&self.why_cache, LruCache::clear)
-    }
-
-    /// The plan cache, poison-recovering by clearing.
-    fn lock_plans(&self) -> MutexGuard<'_, PlanCache<CanonicalQuery>> {
-        self.lock_recovering(&self.plans, PlanCache::clear)
+    /// Looks `key` up in `cache` and counts the probe under `kind` in the
+    /// `metrics` cache counters. The cache lock is held for the lookup
+    /// only.
+    fn probe<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        cache: &Mutex<LruCache<K, V>>,
+        kind: Cache,
+        key: &K,
+    ) -> Option<V> {
+        let found = self.lock_cache(cache).get(key);
+        self.metrics.cache_probe(kind, found.is_some());
+        found
     }
 
     /// Seeds the epoch counters from a recovered checkpoint and
@@ -668,7 +665,7 @@ impl Engine {
                 // per cached entry, recording the join operator the cost
                 // model chose for each join op of the plan.
                 let vocab = self.lock_vocab();
-                let plans = self.lock_plans();
+                let plans = self.lock_cache(&self.plans);
                 let mut items: Vec<String> = plans
                     .entries()
                     .map(|(_, p)| {
@@ -713,13 +710,11 @@ impl Engine {
         let canon = CanonicalQuery::of(&q);
         let snap = self.snapshot();
         let key = (canon, snap.tcs_epoch);
-        if let Some(verdict) = self.lock_verdicts().get(&key) {
-            self.metrics.verdict_probe(true);
+        if let Some(verdict) = self.probe(&self.verdicts, Cache::Verdict, &key) {
             return Ok(render_verdict(verdict));
         }
-        self.metrics.verdict_probe(false);
         let verdict = is_complete(&q, &snap.tcs);
-        self.lock_verdicts().insert(key, verdict);
+        self.lock_cache(&self.verdicts).insert(key, verdict);
         Ok(render_verdict(verdict))
     }
 
@@ -735,11 +730,9 @@ impl Engine {
         let canon = CanonicalQuery::of(&q);
         let snap = self.snapshot();
         let key = (canon, snap.tcs_epoch, snap.data_epoch);
-        if let Some(reply) = self.lock_why().get(&key) {
-            self.metrics.cert_probe(true);
+        if let Some(reply) = self.probe(&self.why_cache, Cache::Cert, &key) {
             return Ok(reply);
         }
-        self.metrics.cert_probe(false);
         let cert = certify(&q, &snap.tcs);
         let statements = cert_statements(&snap.tcs);
         let valid = check_certificate(&q, &statements, &cert).is_ok();
@@ -773,7 +766,7 @@ impl Engine {
                 }
             }
         };
-        self.lock_why().insert(key, reply.clone());
+        self.lock_cache(&self.why_cache).insert(key, reply.clone());
         Ok(reply)
     }
 
@@ -838,14 +831,10 @@ impl Engine {
         let canon = CanonicalQuery::of(&q);
         let snap = self.snapshot();
         let key = (canon.clone(), snap.data_epoch);
-        let cached = self.lock_answers().get(&key);
-        self.metrics.answer_probe(cached.is_some());
-        let answer_list = match cached {
+        let answer_list = match self.probe(&self.answer_cache, Cache::Answer, &key) {
             Some(list) => list,
             None => {
-                let plan = self.lock_plans().get(&canon);
-                self.metrics.plan_probe(plan.is_some());
-                let plan = match plan {
+                let plan = match self.probe(&self.plans, Cache::Plan, &canon) {
                     Some(plan) => plan,
                     None => {
                         // Failed compiles (unsafe queries) are not cached:
@@ -853,7 +842,8 @@ impl Engine {
                         let compiled = CompiledQuery::compile(&q, Some(&snap.db))
                             .map_err(|e| ("eval", format!("{e:?}")))?;
                         let plan = Arc::new(compiled);
-                        self.lock_plans().insert(canon, Arc::clone(&plan));
+                        self.lock_cache(&self.plans)
+                            .insert(canon, Arc::clone(&plan));
                         plan
                     }
                 };
@@ -867,7 +857,8 @@ impl Engine {
                     (stats.join_nested, stats.join_hash, stats.join_merge),
                 );
                 let list: Vec<Answer> = set.into_iter().collect();
-                self.lock_answers().insert(key, list.clone());
+                self.lock_cache(&self.answer_cache)
+                    .insert(key, list.clone());
                 list
             }
         };
@@ -950,8 +941,8 @@ impl Engine {
         // dropped too: `compl` is the one request that reshapes the
         // session's predicate landscape, and a cold plan cache costs only
         // one recompile per canonical query.
-        self.lock_verdicts().clear();
-        self.lock_plans().clear();
+        self.lock_cache(&self.verdicts).clear();
+        self.lock_cache(&self.plans).clear();
         let epoch = writer.tcs_epoch;
         drop(writer);
         drop(vocab);
@@ -1021,17 +1012,15 @@ impl Engine {
     fn analyze_state_cached(&self) -> Result<String, (&'static str, String)> {
         let snap = self.snapshot();
         let key = (snap.tcs_epoch, snap.data_epoch);
-        if let Some(reply) = self.lock_analysis().get(&key) {
-            self.metrics.analysis_probe(true);
+        if let Some(reply) = self.probe(&self.analysis, Cache::Analysis, &key) {
             return Ok(reply);
         }
-        self.metrics.analysis_probe(false);
         let facts: Vec<Fact> = snap.db.iter_facts().collect();
         let vocab = self.lock_vocab();
         let diags = analyze_state(&snap.tcs, &ConstraintSet::default(), &facts, &vocab);
         drop(vocab);
         let reply = render_diags(&diags);
-        self.lock_analysis().insert(key, reply.clone());
+        self.lock_cache(&self.analysis).insert(key, reply.clone());
         Ok(reply)
     }
 
@@ -1452,6 +1441,84 @@ mod tests {
         let metrics = e.handle("metrics");
         assert!(metrics.contains("verdict_cache.hits=1"), "{metrics}");
         assert!(metrics.contains("lock.poisoned=1"), "{metrics}");
+    }
+
+    /// Pins the `metrics` reply schema: the ordered key list and every
+    /// cache counter after a fixed stream of requests. Scrapers (and the
+    /// repository benchmark's exact-counter self-check) parse these keys
+    /// by name, so a refactor of the counters must render them
+    /// byte-identically and in the same order.
+    #[test]
+    fn metrics_schema_is_pinned() {
+        let e = paper_engine();
+        e.handle("assert school(hofer, primary, merano).");
+        let check = "check q(N) :- pupil(N, C, S), school(S, primary, merano).";
+        assert_eq!(e.handle(check), "ok complete");
+        assert_eq!(e.handle(check), "ok complete");
+        let eval = "eval q(S) :- school(S, primary, merano).";
+        assert_eq!(e.handle(eval), "ok 1 (hofer)");
+        assert_eq!(e.handle(eval), "ok 1 (hofer)");
+        let why = "why q(N) :- pupil(N, C, S), school(S, primary, merano).";
+        assert_eq!(e.handle(why), "ok complete cert=valid derivations=2");
+        assert_eq!(e.handle(why), "ok complete cert=valid derivations=2");
+        assert!(e.handle("analyze state").starts_with("ok "));
+        assert!(e.handle("analyze state").starts_with("ok "));
+        assert_eq!(
+            e.handle("retract school(hofer, primary, merano)."),
+            "ok retracted"
+        );
+        // An alpha-variant after the data-epoch bump: answer miss, plan hit.
+        assert_eq!(e.handle("eval q(X) :- school(X, primary, merano)."), "ok 0");
+        assert_eq!(e.handle("plans"), "ok 1 q:joins=[]");
+
+        let metrics = e.handle("metrics");
+        let fields: Vec<(&str, &str)> = metrics
+            .strip_prefix("ok ")
+            .expect("ok reply")
+            .split(' ')
+            .map(|f| f.split_once('=').expect("key=value"))
+            .collect();
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+        let mut expected_keys = Vec::new();
+        for op in [
+            "check", "eval", "assert", "retract", "compl", "analyze", "why", "other",
+        ] {
+            for stat in ["count", "err", "p50us", "p90us", "p99us", "maxus"] {
+                expected_keys.push(format!("{op}.{stat}"));
+            }
+        }
+        expected_keys.extend(
+            "verdict_cache.hits verdict_cache.misses verdict_cache.rate \
+             answer_cache.hits answer_cache.misses answer_cache.rate \
+             plan_cache.hits plan_cache.misses plan_cache.rate \
+             exec.probes exec.scanned exec.backtracks \
+             exec.batch.count exec.batch.rows exec.join.nested exec.join.hash exec.join.merge \
+             analysis_cache.hits analysis_cache.misses analysis_cache.rate \
+             cert.cache.hits cert.cache.misses cert.cache.rate cert.complete cert.incomplete \
+             dred.overdeleted dred.rederived \
+             wal.appends wal.bytes wal.fsyncs \
+             checkpoint.count checkpoint.duration_ms recovery.replayed_ops \
+             accept.errors lock.poisoned repl.shipped repl.applied repl.snapshots \
+             runtime.tasks runtime.steals pool.panics"
+                .split_whitespace()
+                .map(String::from),
+        );
+        assert_eq!(keys, expected_keys, "{metrics}");
+
+        let cache_fields: Vec<String> = fields
+            .iter()
+            .filter(|(k, _)| k.contains("cache."))
+            .map(|(k, v)| format!("{k}={v}"))
+            .collect();
+        assert_eq!(
+            cache_fields.join(" "),
+            "verdict_cache.hits=1 verdict_cache.misses=1 verdict_cache.rate=0.500 \
+             answer_cache.hits=1 answer_cache.misses=2 answer_cache.rate=0.333 \
+             plan_cache.hits=1 plan_cache.misses=1 plan_cache.rate=0.500 \
+             analysis_cache.hits=1 analysis_cache.misses=1 analysis_cache.rate=0.500 \
+             cert.cache.hits=1 cert.cache.misses=1 cert.cache.rate=0.500",
+            "{metrics}"
+        );
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! clients may pipeline many requests and still match replies
 //! positionally.
 //!
-//! Compared to the blocking front end (`Server::start_blocking`), a
-//! connection here costs two buffers instead of a pool worker: thousands
-//! of idle or slow connections coexist with a handful of threads, and a
-//! non-reading peer accumulates at most [`WBUF_GATE`] + one reply of
-//! bytes before its connection stops parsing (and, past
-//! [`WRITE_STALL_LIMIT`] without draining a byte, is dropped).
+//! Unlike a thread-per-connection front end, a connection here costs two
+//! buffers instead of a pool worker: thousands of idle or slow
+//! connections coexist with a handful of threads, and a non-reading peer
+//! accumulates at most [`WBUF_GATE`] + one reply of bytes before its
+//! connection stops parsing (and, past [`WRITE_STALL_LIMIT`] without
+//! draining a byte, is dropped).
 //!
 //! Backpressure is three gates, all per connection and all re-opened by
 //! the event that clears them: at [`MAX_INFLIGHT`] dispatched requests,

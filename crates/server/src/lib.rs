@@ -13,17 +13,15 @@
 //!   published as immutable snapshots behind a swap point, so read
 //!   requests evaluate without holding any lock — a slow `specialize`
 //!   never blocks a concurrent `check`, and writers proceed undisturbed.
-//! * [`Server`] — `std::net` front end: by default an event-loop reactor
-//!   (one thread multiplexes every connection over a non-blocking
-//!   poller, requests may be pipelined, and a length-prefixed binary
-//!   framing can be negotiated in-band), with the original
-//!   thread-per-connection path kept as [`Server::start_blocking`].
-//!   Grammar in `PROTOCOL.md`.
+//! * [`Server`] — `std::net` front end: an event-loop reactor (one
+//!   thread multiplexes every connection over a non-blocking poller,
+//!   requests may be pipelined, and a length-prefixed binary framing can
+//!   be negotiated in-band). Grammar in `PROTOCOL.md`.
 //! * [`ThreadPool`] — the shared `magik-runtime` work-stealing pool the
 //!   request handlers run on. The engine's *compute* pool (its
-//!   [`Executor`](magik_exec::Executor)) is a separate instance: blocking
-//!   connection handlers must never occupy the workers that reasoning
-//!   fan-outs need, and vice versa.
+//!   [`Executor`](magik_exec::Executor)) is a separate instance: request
+//!   handlers must never occupy the workers that reasoning fan-outs
+//!   need, and vice versa.
 //! * [`ServerConfig`] / [`ReplicaStatus`] / [`initial_sync`] /
 //!   [`run_replica`] — WAL log-shipping replication: a primary streams
 //!   its write-ahead log to read-only replicas from a snapshot-consistent
@@ -33,7 +31,8 @@
 //!   latency quantiles, reported by the `metrics` request (together with
 //!   the compute pool's `runtime.tasks`/`runtime.steals`/`pool.panics`
 //!   counters).
-//! * [`LruCache`] — the exact LRU underlying both caches.
+//! * [`LruCache`] — the exact LRU underlying every engine cache
+//!   (verdicts, answers, compiled plans, `analyze state`, `why`).
 //! * [`Engine::open_durable`] / [`DurabilityOptions`] — the optional
 //!   durability layer (`magik-storage`): mutations are written ahead to a
 //!   CRC-framed WAL before they are applied, a background worker writes

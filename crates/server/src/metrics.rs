@@ -118,6 +118,38 @@ fn op_index(op: Op) -> usize {
     OPS.iter().position(|(o, _)| *o == op).expect("op listed")
 }
 
+/// The engine caches whose probes the metrics count; each discriminant
+/// indexes [`CACHES`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Cache {
+    /// Completeness verdicts (`check`).
+    Verdict,
+    /// Evaluation answers (`eval`).
+    Answer,
+    /// Compiled plans (`eval` answer-cache misses).
+    Plan,
+    /// `analyze state` replies.
+    Analysis,
+    /// Certified `why` replies.
+    Cert,
+}
+
+/// The `metrics` key prefix of each [`Cache`], in discriminant order.
+const CACHES: [&str; 5] = [
+    "verdict_cache",
+    "answer_cache",
+    "plan_cache",
+    "analysis_cache",
+    "cert.cache",
+];
+
+/// Hit and miss counts of one cache.
+#[derive(Debug, Default, Clone, Copy)]
+struct Probes {
+    hits: u64,
+    misses: u64,
+}
+
 #[derive(Debug, Default, Clone)]
 struct OpStats {
     count: u64,
@@ -128,16 +160,7 @@ struct OpStats {
 #[derive(Debug, Default)]
 struct Inner {
     ops: [OpStats; OPS.len()],
-    verdict_hits: u64,
-    verdict_misses: u64,
-    answer_hits: u64,
-    answer_misses: u64,
-    plan_hits: u64,
-    plan_misses: u64,
-    analysis_hits: u64,
-    analysis_misses: u64,
-    cert_hits: u64,
-    cert_misses: u64,
+    caches: [Probes; CACHES.len()],
     cert_complete: u64,
     cert_incomplete: u64,
     exec_probes: u64,
@@ -194,55 +217,13 @@ impl Metrics {
         stats.hist.record(latency);
     }
 
-    /// Records a verdict-cache probe outcome.
-    pub fn verdict_probe(&self, hit: bool) {
-        let mut inner = self.inner();
+    /// Records one probe of `cache` and whether it hit.
+    pub(crate) fn cache_probe(&self, cache: Cache, hit: bool) {
+        let probes = &mut self.inner().caches[cache as usize];
         if hit {
-            inner.verdict_hits += 1;
+            probes.hits += 1;
         } else {
-            inner.verdict_misses += 1;
-        }
-    }
-
-    /// Records an answer-cache probe outcome.
-    pub fn answer_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.answer_hits += 1;
-        } else {
-            inner.answer_misses += 1;
-        }
-    }
-
-    /// Records a plan-cache probe outcome.
-    pub fn plan_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.plan_hits += 1;
-        } else {
-            inner.plan_misses += 1;
-        }
-    }
-
-    /// Records a state-analysis-cache probe outcome (`analyze state` at
-    /// an unchanged epoch pair hits).
-    pub fn analysis_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.analysis_hits += 1;
-        } else {
-            inner.analysis_misses += 1;
-        }
-    }
-
-    /// Records a certificate-cache probe outcome (`why` at an unchanged
-    /// `(tcs_epoch, data_epoch)` pair hits).
-    pub fn cert_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.cert_hits += 1;
-        } else {
-            inner.cert_misses += 1;
+            probes.misses += 1;
         }
     }
 
@@ -337,8 +318,8 @@ impl Metrics {
 
     /// Renders all metrics as one line of `key=value` fields: per-op
     /// `<op>.count/.err/.p50us/.p90us/.p99us/.maxus` (ops with zero
-    /// requests are omitted) plus cache hit/miss counters and hit rates
-    /// (verdict, answer, and plan caches) and aggregate executor counters.
+    /// requests are omitted) plus hit/miss counters and hit rates for
+    /// every engine cache and aggregate executor counters.
     pub fn render(&self) -> String {
         let inner = self.inner();
         let mut out = String::new();
@@ -359,35 +340,30 @@ impl Metrics {
                 s.hist.max_us(),
             );
         }
-        let rate = |hits: u64, misses: u64| {
+        // `<prefix>.hits=… <prefix>.misses=… <prefix>.rate=…`, with a
+        // leading space unless it opens the cache section.
+        let cache = |out: &mut String, cache: Cache| {
+            let Probes { hits, misses } = inner.caches[cache as usize];
+            let name = CACHES[cache as usize];
             let total = hits + misses;
-            if total == 0 {
+            let rate = if total == 0 {
                 0.0
             } else {
                 hits as f64 / total as f64
-            }
+            };
+            let sep = if cache == Cache::Verdict { "" } else { " " };
+            let _ = write!(
+                out,
+                "{sep}{name}.hits={hits} {name}.misses={misses} {name}.rate={rate:.3}"
+            );
         };
+        cache(&mut out, Cache::Verdict);
+        cache(&mut out, Cache::Answer);
+        cache(&mut out, Cache::Plan);
         let _ = write!(
             out,
-            "verdict_cache.hits={} verdict_cache.misses={} verdict_cache.rate={:.3} \
-             answer_cache.hits={} answer_cache.misses={} answer_cache.rate={:.3}",
-            inner.verdict_hits,
-            inner.verdict_misses,
-            rate(inner.verdict_hits, inner.verdict_misses),
-            inner.answer_hits,
-            inner.answer_misses,
-            rate(inner.answer_hits, inner.answer_misses),
-        );
-        let _ = write!(
-            out,
-            " plan_cache.hits={} plan_cache.misses={} plan_cache.rate={:.3} \
-             exec.probes={} exec.scanned={} exec.backtracks={}",
-            inner.plan_hits,
-            inner.plan_misses,
-            rate(inner.plan_hits, inner.plan_misses),
-            inner.exec_probes,
-            inner.exec_scanned,
-            inner.exec_backtracks,
+            " exec.probes={} exec.scanned={} exec.backtracks={}",
+            inner.exec_probes, inner.exec_scanned, inner.exec_backtracks,
         );
         let _ = write!(
             out,
@@ -399,22 +375,12 @@ impl Metrics {
             inner.exec_join_hash,
             inner.exec_join_merge,
         );
+        cache(&mut out, Cache::Analysis);
+        cache(&mut out, Cache::Cert);
         let _ = write!(
             out,
-            " analysis_cache.hits={} analysis_cache.misses={} analysis_cache.rate={:.3}",
-            inner.analysis_hits,
-            inner.analysis_misses,
-            rate(inner.analysis_hits, inner.analysis_misses),
-        );
-        let _ = write!(
-            out,
-            " cert.cache.hits={} cert.cache.misses={} cert.cache.rate={:.3} \
-             cert.complete={} cert.incomplete={}",
-            inner.cert_hits,
-            inner.cert_misses,
-            rate(inner.cert_hits, inner.cert_misses),
-            inner.cert_complete,
-            inner.cert_incomplete,
+            " cert.complete={} cert.incomplete={}",
+            inner.cert_complete, inner.cert_incomplete,
         );
         let _ = write!(
             out,
@@ -477,8 +443,8 @@ mod tests {
         let m = Metrics::new();
         m.record(Op::Check, Duration::from_micros(50), false);
         m.record(Op::Check, Duration::from_micros(70), true);
-        m.verdict_probe(true);
-        m.verdict_probe(false);
+        m.cache_probe(Cache::Verdict, true);
+        m.cache_probe(Cache::Verdict, false);
         let text = m.render();
         assert!(text.contains("check.count=2"));
         assert!(text.contains("check.err=1"));
@@ -490,8 +456,8 @@ mod tests {
     #[test]
     fn render_includes_plan_cache_and_exec_counters() {
         let m = Metrics::new();
-        m.plan_probe(false);
-        m.plan_probe(true);
+        m.cache_probe(Cache::Plan, false);
+        m.cache_probe(Cache::Plan, true);
         m.record_exec(5, 40, 12);
         m.record_exec(1, 2, 0);
         let text = m.render();
@@ -568,9 +534,9 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("cert.complete=0 cert.incomplete=0"), "{text}");
-        m.cert_probe(true);
-        m.cert_probe(false);
-        m.cert_probe(false);
+        m.cache_probe(Cache::Cert, true);
+        m.cache_probe(Cache::Cert, false);
+        m.cache_probe(Cache::Cert, false);
         m.record_cert(true);
         m.record_cert(false);
         m.record_cert(false);

@@ -1,7 +1,7 @@
-//! Regression tests for the connection-handling bugfix sweep: the
-//! slow-reader worker pinning fixed by the blocking path's write
-//! deadline (the accept-loop backoff and poisoned-lock recovery have
-//! unit-level regressions next to their code).
+//! Regression tests for connection handling on the event-loop front end:
+//! a client that never reads its replies must not pin a worker, even
+//! when the pool has only one (the accept-loop backoff and poisoned-lock
+//! recovery have unit-level regressions next to their code).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -10,12 +10,13 @@ use std::time::{Duration, Instant};
 
 use magik_server::{Engine, Server};
 
-/// Pre-fix, a client that pipelines large replies and never reads them
+/// A client that pipelines large replies and never reads them once
 /// pinned its pool worker in `write` forever — with a one-worker pool,
-/// a complete denial of service. The write deadline must drop the
-/// non-reader and free the worker for the next client.
+/// a complete denial of service. On the reactor a connection costs
+/// buffers, not a worker: the non-reader's replies queue behind its
+/// backpressure gates while the single worker keeps serving others.
 #[test]
-fn blocking_path_drops_a_non_reading_client_instead_of_pinning_its_worker() {
+fn one_worker_reactor_serves_others_while_a_client_never_reads() {
     let engine = Arc::new(Engine::new());
     assert!(engine
         .handle("compl school(S, T, D) ; true.")
@@ -28,7 +29,7 @@ fn blocking_path_drops_a_non_reading_client_instead_of_pinning_its_worker() {
     }
 
     // One worker: the non-reader and the polite client compete for it.
-    let server = Server::start_blocking(Arc::clone(&engine), "127.0.0.1:0", 1).expect("bind");
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", 1).expect("bind");
     let addr = server.local_addr();
 
     // The non-reader: hundreds of evals whose replies total far more
@@ -40,13 +41,13 @@ fn blocking_path_drops_a_non_reading_client_instead_of_pinning_its_worker() {
     }
     (&glutton).write_all(flood.as_bytes()).expect("flood");
 
-    // Give the worker time to start serving the glutton and hit the
-    // full socket.
+    // Give the worker time to start serving the glutton and fill its
+    // socket.
     std::thread::sleep(Duration::from_millis(300));
 
-    // The polite client: must be served once the write deadline (2 s)
-    // drops the glutton. Pre-fix the worker never frees and this read
-    // times out.
+    // The polite client: must be served while the glutton is still
+    // connected. A front end that parks the worker in the glutton's
+    // `write` never answers, and this read times out.
     let mut polite = TcpStream::connect(addr).expect("connect polite");
     polite
         .set_read_timeout(Some(Duration::from_secs(20)))
@@ -59,8 +60,8 @@ fn blocking_path_drops_a_non_reading_client_instead_of_pinning_its_worker() {
         .read_line(&mut reply)
         .expect("polite client starved: the non-reader is still pinning the worker");
     assert_eq!(reply.trim_end(), "ok pong");
-    // Sanity: service resumed via the deadline, not because the flood
-    // happened to fit the buffers.
+    // Prompt: far below the reactor's 30 s write-stall eviction, so the
+    // glutton never stood in the way.
     assert!(
         started.elapsed() < Duration::from_secs(15),
         "took {:?}",

@@ -24,7 +24,7 @@
 //! |---|---|
 //! | [`relalg`] | terms, atoms, queries, instances, copy-on-write snapshots, evaluation, containment, minimization |
 //! | [`runtime`] | shared work-stealing thread pool: panic-isolated workers, fork-join helpers |
-//! | [`exec`] | compiled query-execution layer: plan IR, compiled queries/rule bodies, plan cache, pluggable executor, explain output |
+//! | [`exec`] | compiled query-execution layer: plan IR, compiled queries/rule bodies, pluggable executor, explain output |
 //! | [`unify`] | unification, MGUs, renaming apart |
 //! | [`datalog`] | forward-chaining Datalog engine (naive + semi-naive) |
 //! | [`prolog`] | SLD resolution engine over compound terms |
@@ -32,7 +32,7 @@
 //! | [`cert`] | trusted certificate checker: validates completeness verdicts, repairs and derivation trees by direct definition-checking, sharing no reasoning code with the engine |
 //! | [`parser`] | text syntax for queries, statements and facts, with byte-span tracking |
 //! | [`analyze`] | span-aware static analysis: `M0xx` diagnostics over statements, queries, facts and the Datalog encoding |
-//! | [`server`] | concurrent completeness service: session engine, verdict cache, TCP front end, optional durability |
+//! | [`server`] | concurrent completeness service: session engine, LRU result and plan caches, TCP front end, optional durability |
 //! | [`storage`] | write-ahead log + snapshot checkpoints: CRC-framed segments, atomic checkpoint images, crash recovery |
 //! | [`workload`] | paper workloads, synthetic data, random generators |
 //!
@@ -111,7 +111,7 @@ pub use magik_datalog::{
 };
 pub use magik_exec::{
     available_parallelism, explain_json, explain_text, CompiledBody, CompiledQuery, ExecStats,
-    Executor, Plan, PlanCache, PoolCounters, ThreadPool,
+    Executor, Plan, PoolCounters, ThreadPool,
 };
 pub use magik_parser::{
     parse_atom, parse_document, parse_instance, parse_query, parse_rules, parse_tcs,
