@@ -971,6 +971,91 @@ fn print_recovery(dir: &str, report: &RecoveryReport) {
     );
 }
 
+/// The flags `magik serve` and `magik replicate` share.
+struct ServerFlags {
+    /// `--addr HOST:PORT`: where to listen.
+    addr: String,
+    /// `--workers N`: the connection pool size.
+    workers: usize,
+    /// `--threads N`: the reasoning pool size; defaults to
+    /// `MAGIK_THREADS`, then to the machine's available parallelism.
+    threads: usize,
+    /// `--data-dir DIR`: turns on the durability layer.
+    data_dir: Option<String>,
+    /// `--fsync MODE`, `--checkpoint-every N`, `--segment-bytes N`.
+    durability: DurabilityOptions,
+}
+
+/// Parses the arguments of `serve` or `replicate`: the shared flags
+/// here, every other argument through `extra`, which answers `Ok(false)`
+/// for an argument it does not take either and may pull a value from the
+/// iterator. A malformed flag prints its message and yields exit code 1.
+fn parse_server_flags<'a>(
+    args: &'a [String],
+    default_addr: &str,
+    mut extra: impl FnMut(&str, &mut std::slice::Iter<'a, String>) -> Result<bool, &'static str>,
+) -> Result<ServerFlags, ExitCode> {
+    fn positive<N: std::str::FromStr + PartialOrd + From<u8>>(v: Option<&String>) -> Option<N> {
+        v.and_then(|v| v.parse().ok()).filter(|n| *n >= N::from(1))
+    }
+    let mut flags = ServerFlags {
+        addr: default_addr.to_string(),
+        workers: 4,
+        threads: std::env::var("MAGIK_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(magik::available_parallelism),
+        data_dir: None,
+        durability: DurabilityOptions::default(),
+    };
+    let mut rest = args.iter();
+    while let Some(opt) = rest.next() {
+        let parsed = match opt.as_str() {
+            "--addr" => rest
+                .next()
+                .map(|a| flags.addr = a.clone())
+                .ok_or("--addr requires HOST:PORT"),
+            "--workers" => positive(rest.next())
+                .map(|n| flags.workers = n)
+                .ok_or("--workers requires a positive integer"),
+            "--threads" => positive(rest.next())
+                .map(|n| flags.threads = n)
+                .ok_or("--threads requires a positive integer"),
+            "--data-dir" => rest
+                .next()
+                .map(|d| flags.data_dir = Some(d.clone()))
+                .ok_or("--data-dir requires a directory path"),
+            "--fsync" => rest
+                .next()
+                .and_then(|v| FsyncPolicy::parse(v))
+                .map(|policy| flags.durability.fsync = policy)
+                .ok_or("--fsync requires `always`, `never` or `interval[:MILLIS]`"),
+            "--checkpoint-every" => rest
+                .next()
+                .and_then(|v| v.parse().ok())
+                .map(|n| flags.durability.checkpoint_every = n)
+                .ok_or("--checkpoint-every requires a non-negative integer"),
+            "--segment-bytes" => positive(rest.next())
+                .map(|n| flags.durability.segment_bytes = n)
+                .ok_or("--segment-bytes requires a positive integer"),
+            other => match extra(other, &mut rest) {
+                Ok(true) => Ok(()),
+                Ok(false) => {
+                    eprintln!("magik: unknown option `{other}`\n{USAGE}");
+                    return Err(ExitCode::from(1));
+                }
+                Err(msg) => Err(msg),
+            },
+        };
+        if let Err(msg) = parsed {
+            eprintln!("magik: {msg}");
+            return Err(ExitCode::from(1));
+        }
+    }
+    Ok(flags)
+}
+
 /// `magik serve [--addr HOST:PORT] [--workers N] [--threads N]
 /// [--data-dir DIR] [--fsync MODE] [--checkpoint-every N]
 /// [--segment-bytes N] [file]` — run the TCP completeness service (see
@@ -989,75 +1074,23 @@ fn print_recovery(dir: &str, report: &RecoveryReport) {
 /// file is only applied to a *virgin* directory — recovered state wins
 /// over the file otherwise.
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7171".to_string();
-    let mut workers = 4usize;
-    let mut threads = std::env::var("MAGIK_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(magik::available_parallelism);
     let mut file = None;
-    let mut data_dir: Option<String> = None;
-    let mut durability = DurabilityOptions::default();
-    let mut rest = args.iter();
-    while let Some(opt) = rest.next() {
-        match opt.as_str() {
-            "--addr" => match rest.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("magik: --addr requires HOST:PORT");
-                    return ExitCode::from(1);
-                }
-            },
-            "--workers" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => {
-                    eprintln!("magik: --workers requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("magik: --threads requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--data-dir" => match rest.next() {
-                Some(d) => data_dir = Some(d.clone()),
-                None => {
-                    eprintln!("magik: --data-dir requires a directory path");
-                    return ExitCode::from(1);
-                }
-            },
-            "--fsync" => match rest.next().and_then(|v| FsyncPolicy::parse(v)) {
-                Some(policy) => durability.fsync = policy,
-                None => {
-                    eprintln!("magik: --fsync requires `always`, `never` or `interval[:MILLIS]`");
-                    return ExitCode::from(1);
-                }
-            },
-            "--checkpoint-every" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) => durability.checkpoint_every = n,
-                None => {
-                    eprintln!("magik: --checkpoint-every requires a non-negative integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--segment-bytes" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => durability.segment_bytes = n,
-                _ => {
-                    eprintln!("magik: --segment-bytes requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("magik: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(1);
-            }
+    let ServerFlags {
+        addr,
+        workers,
+        threads,
+        data_dir,
+        durability,
+    } = match parse_server_flags(args, "127.0.0.1:7171", |arg, _| {
+        if arg.starts_with('-') || file.is_some() {
+            return Ok(false);
         }
-    }
+        file = Some(arg.to_string());
+        Ok(true)
+    }) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
     let exec = magik::Executor::with_threads(threads);
     let preload = match &file {
         Some(path) => {
@@ -1146,80 +1179,22 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 /// connection state and epoch lag.
 fn cmd_replicate(args: &[String]) -> ExitCode {
     let mut from: Option<String> = None;
-    let mut addr = "127.0.0.1:7172".to_string();
-    let mut workers = 4usize;
-    let mut threads = std::env::var("MAGIK_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(magik::available_parallelism);
-    let mut data_dir: Option<String> = None;
-    let mut durability = DurabilityOptions::default();
-    let mut rest = args.iter();
-    while let Some(opt) = rest.next() {
-        match opt.as_str() {
-            "--from" => match rest.next() {
-                Some(a) => from = Some(a.clone()),
-                None => {
-                    eprintln!("magik: --from requires HOST:PORT");
-                    return ExitCode::from(1);
-                }
-            },
-            "--addr" => match rest.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("magik: --addr requires HOST:PORT");
-                    return ExitCode::from(1);
-                }
-            },
-            "--workers" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => {
-                    eprintln!("magik: --workers requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("magik: --threads requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--data-dir" => match rest.next() {
-                Some(d) => data_dir = Some(d.clone()),
-                None => {
-                    eprintln!("magik: --data-dir requires a directory path");
-                    return ExitCode::from(1);
-                }
-            },
-            "--fsync" => match rest.next().and_then(|v| FsyncPolicy::parse(v)) {
-                Some(policy) => durability.fsync = policy,
-                None => {
-                    eprintln!("magik: --fsync requires `always`, `never` or `interval[:MILLIS]`");
-                    return ExitCode::from(1);
-                }
-            },
-            "--checkpoint-every" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) => durability.checkpoint_every = n,
-                None => {
-                    eprintln!("magik: --checkpoint-every requires a non-negative integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--segment-bytes" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => durability.segment_bytes = n,
-                _ => {
-                    eprintln!("magik: --segment-bytes requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            other => {
-                eprintln!("magik: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(1);
-            }
+    let ServerFlags {
+        addr,
+        workers,
+        threads,
+        data_dir,
+        durability,
+    } = match parse_server_flags(args, "127.0.0.1:7172", |arg, rest| {
+        if arg != "--from" {
+            return Ok(false);
         }
-    }
+        from = Some(rest.next().ok_or("--from requires HOST:PORT")?.clone());
+        Ok(true)
+    }) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
     let Some(from) = from else {
         eprintln!("magik: replicate requires --from HOST:PORT\n{USAGE}");
         return ExitCode::from(1);

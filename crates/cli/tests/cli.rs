@@ -249,6 +249,92 @@ fn usage_errors_exit_nonzero() {
     assert_eq!(out.status.code(), Some(1));
 }
 
+/// Runs `magik` with `args`, killing it (and failing) if it is still
+/// running after a few seconds — a flag the parser wrongly accepts would
+/// otherwise start a server that never exits.
+fn magik_bounded(args: &[&str]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_magik"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while child.try_wait().expect("wait").is_none() {
+        if std::time::Instant::now() > deadline {
+            child.kill().expect("kill");
+            panic!("`magik {}` did not exit", args.join(" "));
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("output")
+}
+
+#[test]
+fn malformed_server_flags_fail_alike_for_serve_and_replicate() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--addr"], "--addr requires HOST:PORT"),
+        (&["--workers"], "--workers requires a positive integer"),
+        (&["--workers", "0"], "--workers requires a positive integer"),
+        (
+            &["--workers", "many"],
+            "--workers requires a positive integer",
+        ),
+        (&["--threads"], "--threads requires a positive integer"),
+        (&["--threads", "0"], "--threads requires a positive integer"),
+        (
+            &["--threads", "-2"],
+            "--threads requires a positive integer",
+        ),
+        (&["--data-dir"], "--data-dir requires a directory path"),
+        (
+            &["--fsync"],
+            "--fsync requires `always`, `never` or `interval[:MILLIS]`",
+        ),
+        (
+            &["--fsync", "sometimes"],
+            "--fsync requires `always`, `never` or `interval[:MILLIS]`",
+        ),
+        (
+            &["--checkpoint-every", "-1"],
+            "--checkpoint-every requires a non-negative integer",
+        ),
+        (
+            &["--checkpoint-every"],
+            "--checkpoint-every requires a non-negative integer",
+        ),
+        (
+            &["--segment-bytes", "0"],
+            "--segment-bytes requires a positive integer",
+        ),
+        (
+            &["--segment-bytes", "x"],
+            "--segment-bytes requires a positive integer",
+        ),
+    ];
+    for (flags, message) in cases {
+        for command in ["serve", "replicate"] {
+            let mut args = vec![command];
+            args.extend_from_slice(flags);
+            let out = magik_bounded(&args);
+            assert_eq!(out.status.code(), Some(1), "magik {}", args.join(" "));
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("magik: {message}\n"),
+                "magik {}",
+                args.join(" ")
+            );
+        }
+    }
+    // An unknown flag prints the usage text, identically for both.
+    let serve = magik_bounded(&["serve", "--bogus"]);
+    let replicate = magik_bounded(&["replicate", "--bogus"]);
+    assert_eq!(serve.status.code(), Some(1));
+    assert_eq!(replicate.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&serve.stderr).starts_with("magik: unknown option `--bogus`\n"));
+    assert_eq!(serve.stderr, replicate.stderr);
+}
+
 #[test]
 fn parse_errors_exit_with_code_2() {
     let dir = std::env::temp_dir().join("magik-cli-test");

@@ -18,9 +18,15 @@
 //!   working set (and memory) small.
 //!
 //! Both engines return the same set of k-MCSs up to equivalence; the test
-//! suite asserts the agreement.
+//! suite asserts the agreement. The naive engine is the paper artefact
+//! and oracle and runs single-threaded. The optimized engine has one code
+//! path for every [`Executor`]: each size's extension searches go through
+//! [`Executor::map`], which decides whether they fan out, and the merge
+//! runs in enumeration order — so queries and statistics are the same on
+//! every executor (`k_mcs_search_stats_are_pinned` fixes the statistics).
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use magik_exec::Executor;
@@ -179,18 +185,18 @@ pub fn k_mcs(q: &Query, tcs: &TcSet, vocab: &mut Vocabulary, options: KMcsOption
     k_mcs_on(q, tcs, vocab, options, &Executor::Sequential)
 }
 
-/// Like [`k_mcs`], but fanning the per-extension unifier searches out over
-/// `exec`. The searches for the extensions of one size are independent —
-/// only the candidate *merge* (canonical dedup and subsumption pruning)
-/// is order-sensitive, and it runs sequentially in enumeration order — so
-/// the outcome (queries **and** stats) is identical to the sequential run.
+/// Like [`k_mcs`], but with the per-extension unifier searches of the
+/// optimized engine run through `exec`, which may fan them out. The
+/// searches for the extensions of one size are independent — only the
+/// candidate *merge* (canonical dedup and subsumption pruning) is
+/// order-sensitive, and it runs on the calling thread in enumeration
+/// order — so the outcome (queries **and** stats) is the same on every
+/// executor.
 ///
-/// Parallelism applies to the optimized engine with an unlimited
-/// unification budget; a finite [`KMcsOptions::max_unify_calls`] threads a
-/// running total through the extension order that parallel tasks cannot
-/// observe, so budgeted runs (and the naive engine, which exists to
-/// reproduce the paper's sequential baseline) fall back to sequential
-/// search.
+/// A finite [`KMcsOptions::max_unify_calls`] is a running total threaded
+/// through the extensions in enumeration order, so budgeted searches run
+/// inline whatever `exec` is. The naive engine, which reproduces the
+/// paper's sequential baseline, ignores `exec`.
 pub fn k_mcs_on(
     q: &Query,
     tcs: &TcSet,
@@ -203,171 +209,102 @@ pub fn k_mcs_on(
     // search base, never the space.
     let bound = q.size() + options.k;
     let q = minimize(q);
-    let max_extension = bound.saturating_sub(1);
     let sigma: Vec<Pred> = tcs.signature().into_iter().collect();
-    let head_preds: HashSet<Pred> = tcs.statements().iter().map(|c| c.head.pred).collect();
-
-    if options.engine == KMcsEngine::Optimized
-        && exec.threads() > 1
-        && options.max_unify_calls == u64::MAX
-    {
-        return k_mcs_parallel(
-            &q,
-            tcs,
-            vocab,
-            bound,
-            max_extension,
-            &sigma,
-            &head_preds,
-            exec,
-        );
+    if options.engine == KMcsEngine::Optimized {
+        return k_mcs_optimized(&q, tcs, vocab, bound, &sigma, options, exec);
     }
 
+    // The naive engine: Algorithm 3 literally.
     let mut stats = KMcsStats::default();
     let mut complete_search = true;
     let mut budget_left = options.max_unify_calls;
     // Variable pools reused across all extensions (see `VarPool`).
     let mut ext_pool = VarPool::new("F");
     let mut stmt_pool = VarPool::new("T");
-
-    match options.engine {
-        KMcsEngine::Naive => {
-            // Line 2 of Algorithm 3, literally: all extensions of size
-            // exactly n + k - 1 (ordered, as a naive generate-and-test
-            // enumeration produces them).
-            let mut all_candidates = Vec::new();
-            let mut seen = HashSet::new();
-            for tuple in ordered_tuples(&sigma, max_extension) {
-                if !complete_search {
-                    break;
-                }
-                stats.extensions += 1;
-                ext_pool.release(0);
-                let extension: Vec<Atom> = tuple
-                    .iter()
-                    .map(|&p| fresh_atom(p, &mut ext_pool, vocab))
-                    .collect();
-                let q2 = q.with_atoms(extension);
-                let (cands, search_stats, exhausted) = collect_bounded_instantiations(
-                    &q2,
-                    tcs,
-                    vocab,
-                    &mut stmt_pool,
-                    bound,
-                    false,
-                    SearchBudget {
-                        max_unify_calls: budget_left,
-                    },
-                );
-                stats.unify_calls += search_stats.unify_calls;
-                stats.configurations += search_stats.configurations;
-                budget_left = budget_left.saturating_sub(search_stats.unify_calls);
-                if !exhausted {
-                    complete_search = false;
-                }
-                for c in cands {
-                    let canon = canonical_form(&c, vocab);
-                    if seen.insert(canon) {
-                        stats.candidates += 1;
-                        all_candidates.push(c);
-                    }
-                }
-            }
-            // Lines 5–7: one global maximality pass at the very end.
-            KMcsOutcome {
-                queries: retain_maximal(all_candidates),
-                stats,
-                complete_search,
-            }
+    // Line 2 of Algorithm 3, literally: all extensions of size exactly
+    // n + k - 1 (ordered, as a naive generate-and-test enumeration
+    // produces them).
+    let mut all_candidates = Vec::new();
+    let mut seen = HashSet::new();
+    for tuple in ordered_tuples(&sigma, bound.saturating_sub(1)) {
+        if !complete_search {
+            break;
         }
-        KMcsEngine::Optimized => {
-            let mut kept: Vec<Query> = Vec::new();
-            let mut seen = HashSet::new();
-            'sizes: for size in 0..=max_extension {
-                for multiset in multisets(&sigma, size) {
-                    if !complete_search {
-                        break 'sizes;
-                    }
-                    // An extension atom whose relation heads no statement
-                    // can never be matched; skip the whole extension.
-                    if multiset.iter().any(|p| !head_preds.contains(p)) {
-                        stats.extensions_skipped += 1;
-                        continue;
-                    }
-                    stats.extensions += 1;
-                    ext_pool.release(0);
-                    let extension: Vec<Atom> = multiset
-                        .iter()
-                        .map(|&p| fresh_atom(p, &mut ext_pool, vocab))
-                        .collect();
-                    let q2 = q.with_atoms(extension);
-                    let (cands, search_stats, exhausted) = collect_bounded_instantiations(
-                        &q2,
-                        tcs,
-                        vocab,
-                        &mut stmt_pool,
-                        bound,
-                        true,
-                        SearchBudget {
-                            max_unify_calls: budget_left,
-                        },
-                    );
-                    stats.unify_calls += search_stats.unify_calls;
-                    stats.configurations += search_stats.configurations;
-                    budget_left = budget_left.saturating_sub(search_stats.unify_calls);
-                    if !exhausted {
-                        complete_search = false;
-                    }
-                    for c in cands {
-                        let canon = canonical_form(&c, vocab);
-                        if !seen.insert(canon) {
-                            continue;
-                        }
-                        stats.candidates += 1;
-                        // Incremental subsumption pruning (Section 5).
-                        if kept.iter().any(|f| is_contained_in(&c, f)) {
-                            stats.pruned_by_subsumption += 1;
-                            continue;
-                        }
-                        kept.retain(|f| !is_contained_in(f, &c));
-                        kept.push(c);
-                    }
-                }
-            }
-            KMcsOutcome {
-                queries: kept,
-                stats,
-                complete_search,
+        stats.extensions += 1;
+        ext_pool.release(0);
+        let extension: Vec<Atom> = tuple
+            .iter()
+            .map(|&p| fresh_atom(p, &mut ext_pool, vocab))
+            .collect();
+        let q2 = q.with_atoms(extension);
+        let (cands, search_stats, exhausted) = collect_bounded_instantiations(
+            &q2,
+            tcs,
+            vocab,
+            &mut stmt_pool,
+            bound,
+            false,
+            SearchBudget {
+                max_unify_calls: budget_left,
+            },
+        );
+        stats.unify_calls += search_stats.unify_calls;
+        stats.configurations += search_stats.configurations;
+        budget_left = budget_left.saturating_sub(search_stats.unify_calls);
+        if !exhausted {
+            complete_search = false;
+        }
+        for c in cands {
+            let canon = canonical_form(&c, vocab);
+            if seen.insert(canon) {
+                stats.candidates += 1;
+                all_candidates.push(c);
             }
         }
     }
+    // Lines 5–7: one global maximality pass at the very end.
+    KMcsOutcome {
+        queries: retain_maximal(all_candidates),
+        stats,
+        complete_search,
+    }
 }
 
-/// The parallel optimized engine: for each extension size, mint all
-/// searchable extensions up front (vocabulary mutation stays on the
-/// calling thread), fan the bounded-instantiation searches out over
-/// `exec`, then merge the per-extension candidate lists sequentially in
-/// enumeration order so canonical dedup and subsumption pruning see
-/// exactly the sequence the sequential engine sees.
+/// The optimized engine: for each extension size, mint every searchable
+/// extension on the calling thread (vocabulary mutation stays here),
+/// search them all through `exec`, then merge the per-extension candidate
+/// lists in enumeration order, so canonical dedup and subsumption pruning
+/// see the same sequence on every executor.
 ///
-/// Tasks must not touch the shared vocabulary, yet the candidates they
-/// return may mention statement-pool variables. The statement pool is
-/// therefore pre-filled (against the shared vocabulary) to the deepest
+/// Search tasks must not touch the shared vocabulary, yet the candidates
+/// they return may mention statement-pool variables. The statement pool
+/// is therefore pre-filled (against the shared vocabulary) to the deepest
 /// stock one search path can draw — every body atom renames at most one
 /// statement — and each task clones that pool plus a vocabulary snapshot;
 /// the snapshot only absorbs throwaway `$n` canonicalization interning.
-#[allow(clippy::too_many_arguments)]
-fn k_mcs_parallel(
+///
+/// A finite `max_unify_calls` is charged in enumeration order: each
+/// search gets what its predecessors left, and the merge stops at the
+/// first truncated search. That order only holds inline, so a budgeted
+/// search ignores `exec`.
+fn k_mcs_optimized(
     q: &Query,
     tcs: &TcSet,
     vocab: &mut Vocabulary,
     bound: usize,
-    max_extension: usize,
     sigma: &[Pred],
-    head_preds: &HashSet<Pred>,
+    options: KMcsOptions,
     exec: &Executor,
 ) -> KMcsOutcome {
+    let exec = if options.max_unify_calls == u64::MAX {
+        exec
+    } else {
+        &Executor::Sequential
+    };
+    let max_extension = bound.saturating_sub(1);
+    let head_preds: HashSet<Pred> = tcs.statements().iter().map(|c| c.head.pred).collect();
     let mut stats = KMcsStats::default();
+    let mut complete_search = true;
     let mut ext_pool = VarPool::new("F");
     let mut stmt_pool = VarPool::new("T");
     let max_stmt_vars = tcs
@@ -384,14 +321,19 @@ fn k_mcs_parallel(
     stmt_pool.release(0);
     let shared_tcs = Arc::new(tcs.clone());
     let pool_template = Arc::new(stmt_pool);
+    let budget_left = Arc::new(AtomicU64::new(options.max_unify_calls));
 
     let mut kept: Vec<Query> = Vec::new();
     let mut seen = HashSet::new();
-    for size in 0..=max_extension {
+    'sizes: for size in 0..=max_extension {
+        // `false` marks an extension skipped before searching: an atom
+        // whose relation heads no statement can never be matched.
+        let mut searchable: Vec<bool> = Vec::new();
         let mut batch: Vec<Query> = Vec::new();
         for multiset in multisets(sigma, size) {
-            if multiset.iter().any(|p| !head_preds.contains(p)) {
-                stats.extensions_skipped += 1;
+            let skip = multiset.iter().any(|p| !head_preds.contains(p));
+            searchable.push(!skip);
+            if skip {
                 continue;
             }
             ext_pool.release(0);
@@ -406,20 +348,32 @@ fn k_mcs_parallel(
         let vocab_template = Arc::new(vocab.clone());
         let task_tcs = Arc::clone(&shared_tcs);
         let task_pool = Arc::clone(&pool_template);
-        let searched = exec.map(batch, move |q2| {
-            let mut v = (*vocab_template).clone();
-            let mut pool = (*task_pool).clone();
-            collect_bounded_instantiations(
-                &q2,
-                &task_tcs,
-                &mut v,
-                &mut pool,
-                bound,
-                true,
-                SearchBudget::default(),
-            )
-        });
-        for (cands, search_stats, _exhausted) in searched {
+        let task_budget = Arc::clone(&budget_left);
+        let mut searched = exec
+            .map(batch, move |q2| {
+                let mut v = (*vocab_template).clone();
+                let mut pool = (*task_pool).clone();
+                let budget = SearchBudget {
+                    max_unify_calls: task_budget.load(Ordering::Relaxed),
+                };
+                let result = collect_bounded_instantiations(
+                    &q2, &task_tcs, &mut v, &mut pool, bound, true, budget,
+                );
+                let calls = result.1.unify_calls;
+                let _ = task_budget.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |left| {
+                    Some(left.saturating_sub(calls))
+                });
+                result
+            })
+            .into_iter();
+        for is_searched in searchable {
+            if !is_searched {
+                stats.extensions_skipped += 1;
+                continue;
+            }
+            let (cands, search_stats, exhausted) = searched
+                .next()
+                .expect("one search per searchable extension");
             stats.extensions += 1;
             stats.unify_calls += search_stats.unify_calls;
             stats.configurations += search_stats.configurations;
@@ -429,6 +383,7 @@ fn k_mcs_parallel(
                     continue;
                 }
                 stats.candidates += 1;
+                // Incremental subsumption pruning (Section 5).
                 if kept.iter().any(|f| is_contained_in(&c, f)) {
                     stats.pruned_by_subsumption += 1;
                     continue;
@@ -436,12 +391,17 @@ fn k_mcs_parallel(
                 kept.retain(|f| !is_contained_in(f, &c));
                 kept.push(c);
             }
+            if !exhausted {
+                // The budget ran out: stop at the first truncated search.
+                complete_search = false;
+                break 'sizes;
+            }
         }
     }
     KMcsOutcome {
         queries: kept,
         stats,
-        complete_search: true,
+        complete_search,
     }
 }
 
@@ -449,7 +409,7 @@ fn k_mcs_parallel(
 mod tests {
     use super::*;
     use crate::check::is_complete;
-    use crate::testutil::{flight, q_pbl, school_tcs, table1};
+    use crate::testutil::{flight, q_pbl, school_tcs, table1, table1_satisfiable};
     use magik_relalg::are_equivalent;
 
     #[test]
@@ -700,6 +660,91 @@ mod tests {
                 k2.queries.iter().any(|big| is_contained_in(small, big)),
                 "a 1-MCS must be below some 2-MCS"
             );
+        }
+    }
+
+    /// One pinned row: workload, k, budget, then the exact
+    /// [`KMcsStats`] fields, the result count and `complete_search`.
+    type PinnedRow = (&'static str, usize, u64, [u64; 6], usize, bool);
+
+    fn pinned_row(
+        name: &'static str,
+        k: usize,
+        max_unify_calls: u64,
+        exec: &Executor,
+    ) -> PinnedRow {
+        let mut v = Vocabulary::new();
+        let (tcs, q) = match name {
+            "T1" => table1(&mut v),
+            "T1b" => table1_satisfiable(&mut v),
+            "flight" => flight(&mut v),
+            "school" => (school_tcs(&mut v), q_pbl(&mut v)),
+            _ => unreachable!("unknown workload {name}"),
+        };
+        let options = KMcsOptions {
+            max_unify_calls,
+            ..KMcsOptions::new(k)
+        };
+        let out = k_mcs_on(&q, &tcs, &mut v, options, exec);
+        let s = out.stats;
+        (
+            name,
+            k,
+            max_unify_calls,
+            [
+                s.extensions,
+                s.extensions_skipped,
+                s.unify_calls,
+                s.configurations,
+                s.candidates,
+                s.pruned_by_subsumption,
+            ],
+            out.queries.len(),
+            out.complete_search,
+        )
+    }
+
+    #[test]
+    fn k_mcs_search_stats_are_pinned() {
+        // The exact search statistics of the optimized engine, pinned so
+        // that restructuring how the search fans out cannot silently
+        // change what it does. Both executors must reproduce every row.
+        // Columns: workload, k, budget, [extensions, skipped, unify
+        // calls, configurations, candidates, pruned], results, complete.
+        const MAX: u64 = u64::MAX;
+        let pinned: [PinnedRow; 19] = [
+            ("T1", 0, MAX, [1, 0, 1, 0, 0, 0], 0, true),
+            ("T1", 1, MAX, [4, 1, 5, 0, 0, 0], 0, true),
+            ("T1", 2, MAX, [10, 5, 18, 0, 0, 0], 0, true),
+            ("T1", 3, MAX, [20, 15, 53, 0, 0, 0], 0, true),
+            ("T1", 4, MAX, [35, 35, 133, 0, 0, 0], 0, true),
+            ("T1", 5, MAX, [56, 70, 294, 0, 0, 0], 0, true),
+            ("T1b", 0, MAX, [1, 0, 1, 0, 0, 0], 0, true),
+            ("T1b", 1, MAX, [5, 0, 6, 0, 0, 0], 0, true),
+            ("T1b", 2, MAX, [15, 0, 24, 0, 0, 0], 0, true),
+            ("T1b", 3, MAX, [35, 0, 83, 2, 2, 0], 2, true),
+            ("T1b", 4, MAX, [70, 0, 288, 16, 12, 10], 2, true),
+            ("flight", 0, MAX, [1, 0, 2, 1, 1, 0], 1, true),
+            ("flight", 1, MAX, [2, 0, 11, 5, 5, 2], 2, true),
+            ("flight", 2, MAX, [3, 0, 63, 32, 32, 26], 3, true),
+            ("flight", 3, MAX, [4, 0, 488, 288, 288, 278], 4, true),
+            ("school", 1, MAX, [20, 0, 1165, 296, 5, 4], 1, true),
+            // Finite budgets: the search stops at the first truncated
+            // extension search, mid-size, with skipped extensions after.
+            ("T1", 5, 100, [26, 17, 101, 0, 0, 0], 0, false),
+            ("T1b", 4, 100, [37, 0, 101, 2, 2, 0], 2, false),
+            ("school", 1, 500, [14, 0, 501, 110, 5, 4], 1, false),
+        ];
+        for exec in [Executor::Sequential, Executor::with_threads(4)] {
+            for row in pinned {
+                let (name, k, budget, ..) = row;
+                assert_eq!(
+                    pinned_row(name, k, budget, &exec),
+                    row,
+                    "threads = {}",
+                    exec.threads()
+                );
+            }
         }
     }
 }

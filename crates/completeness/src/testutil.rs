@@ -122,3 +122,21 @@ pub(crate) fn table1(v: &mut Vocabulary) -> (TcSet, Query) {
     );
     (TcSet::new(stmts), q)
 }
+
+/// The satisfiable Table 1 variant ("T1b"): [`table1`] plus the
+/// unconditional `Compl(class(C, S, L, T); true)`, so complete
+/// specializations of `Q_l` exist.
+pub(crate) fn table1_satisfiable(v: &mut Vocabulary) -> (TcSet, Query) {
+    let (tcs, q) = table1(v);
+    let class = v.pred("class", 4);
+    let (c, s, l, t) = (v.var("C"), v.var("S"), v.var("L"), v.var("T"));
+    let mut stmts = tcs.statements().to_vec();
+    stmts.push(TcStatement::new(
+        Atom::new(
+            class,
+            vec![Term::Var(c), Term::Var(s), Term::Var(l), Term::Var(t)],
+        ),
+        vec![],
+    ));
+    (TcSet::new(stmts), q)
+}

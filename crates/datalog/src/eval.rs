@@ -226,9 +226,8 @@ impl CompiledProgram {
         let mut model = edb.clone();
         let mut iterations = 0;
         let mut derived = 0;
-        let mut stats = ExecStats::default();
         for stratum in &self.strata {
-            let (i, d) = fixpoint_naive(stratum, &mut model, &mut stats);
+            let (i, d) = fixpoint_naive(stratum, &mut model);
             iterations += i;
             derived += d;
         }
@@ -244,22 +243,18 @@ impl CompiledProgram {
         self.eval_semi_naive_on(edb, &Executor::Sequential)
     }
 
-    /// Semi-naive stratified fixpoint over `edb`, with each round's delta
-    /// partitioned across `exec`.
+    /// Semi-naive stratified fixpoint over `edb`, every round run through
+    /// `exec` (see [`round`]).
     ///
-    /// Parallel rounds evaluate every delta plan against a [`Snapshot`] of
-    /// the model frozen at round start and merge the per-task buffers by
-    /// sorted dedup, so the computed least model is **identical** to the
-    /// sequential one (facts the eager sequential loop discovers mid-round
-    /// are discovered one round later; the fixpoint is unchanged — the
-    /// `iterations` count may legitimately differ).
+    /// Each round evaluates against a [`Snapshot`] of the model frozen at
+    /// round start and merges by sorted dedup, so the computed least
+    /// model — and the round count — is the same on every executor.
     pub(crate) fn eval_semi_naive_on(&self, edb: &Instance, exec: &Executor) -> FixpointResult {
         let mut model = edb.clone();
         let mut iterations = 0;
         let mut derived = 0;
-        let mut stats = ExecStats::default();
         for stratum in &self.strata {
-            let (i, d) = fixpoint_semi_naive(stratum, &mut model, &mut stats, exec);
+            let (i, d) = fixpoint_semi_naive(stratum, &mut model, exec);
             iterations += i;
             derived += d;
         }
@@ -271,8 +266,8 @@ impl CompiledProgram {
     }
 
     /// Propagates `delta` — facts already inserted into `model` — through
-    /// every rule to a fixpoint with the rounds partitioned across `exec`,
-    /// reusing the compiled delta plans. Returns `(rounds, derived)`. Used
+    /// every rule to a fixpoint, reusing the compiled delta plans, with
+    /// every round run through `exec`. Returns `(rounds, derived)`. Used
     /// by [`crate::Materialized`] (positive programs, so stratification is
     /// immaterial).
     pub(crate) fn propagate_delta_on(
@@ -281,9 +276,7 @@ impl CompiledProgram {
         delta: Vec<Fact>,
         exec: &Executor,
     ) -> (usize, usize) {
-        let rules = self.all_rules();
-        let mut stats = ExecStats::default();
-        propagate_delta_compiled(&rules, model, delta, &mut stats, exec)
+        propagate_delta(&self.all_rules(), model, delta, exec)
     }
 
     /// All rules of every stratum behind one `Arc` (shared, not cloned,
@@ -306,8 +299,8 @@ impl CompiledProgram {
     /// derivations. The returned set includes the seeds themselves.
     ///
     /// Because the store never changes during the pass, one snapshot
-    /// serves every round and deltas partition across `exec` exactly like
-    /// semi-naive insertion rounds do.
+    /// serves every round, and the rounds run exactly like semi-naive
+    /// insertion rounds do.
     pub(crate) fn overdelete_on(
         &self,
         model: &Snapshot,
@@ -315,108 +308,51 @@ impl CompiledProgram {
         exec: &Executor,
     ) -> Vec<Fact> {
         let rules = self.all_rules();
-        let mut stats = ExecStats::default();
         let mut marked = Instance::new();
-        let mut delta: Vec<Fact> = Vec::new();
-        for fact in seeds {
-            if marked.insert(fact.clone()) {
-                delta.push(fact);
-            }
-        }
+        let mut delta = insert_new(&mut marked, seeds);
         let mut all = delta.clone();
         while !delta.is_empty() {
-            let candidates = if exec.threads() > 1 && delta.len() >= PARALLEL_DELTA_THRESHOLD {
-                let delta_arc = Arc::new(std::mem::take(&mut delta));
-                parallel_round(&rules, model, &delta_arc, exec, &mut stats)
-            } else {
-                let round = std::mem::take(&mut delta);
-                delta_round_on(&rules, model, &round, &mut stats)
-            };
-            for fact in candidates {
-                // Heads derived from model facts are model facts (the
-                // model is closed), so membership needs no re-check.
-                if marked.insert(fact.clone()) {
-                    delta.push(fact.clone());
-                    all.push(fact);
-                }
-            }
+            // Heads derived from model facts are model facts (the model is
+            // closed), so membership needs no re-check.
+            let candidates = round(&rules, model.clone(), RoundWork::Overdelete(delta), exec);
+            delta = insert_new(&mut marked, candidates);
+            all.extend(delta.iter().cloned());
         }
         all
     }
 
     /// The seeding step of DRed **re-derivation**: the subset of `facts`
     /// that some rule derives in one step from `store` (the model with
-    /// the over-deleted facts already removed). Each fact costs one
-    /// first-match run of the matching rules' support plans; the checks
-    /// are independent, so they partition across `exec`.
+    /// the over-deleted facts already removed), sorted. Each fact costs
+    /// one first-match run of the matching rules' support plans; the
+    /// checks are independent, so they run as one [`round`].
     pub(crate) fn supported_on(
         &self,
         store: &Snapshot,
         facts: Vec<Fact>,
         exec: &Executor,
     ) -> Vec<Fact> {
-        let rules = self.all_rules();
-        if exec.threads() > 1 && facts.len() >= PARALLEL_DELTA_THRESHOLD {
-            let facts = Arc::new(facts);
-            let ranges = partition(facts.len(), exec.threads() * 2);
-            let (rules2, store2, facts2) = (Arc::clone(&rules), store.clone(), Arc::clone(&facts));
-            let results = exec.map(ranges, move |range| {
-                let mut stats = ExecStats::default();
-                facts2[range]
-                    .iter()
-                    .filter(|f| rules2.iter().any(|r| r.supports(&store2, f, &mut stats)))
-                    .cloned()
-                    .collect::<Vec<Fact>>()
-            });
-            results.into_iter().flatten().collect()
-        } else {
-            let mut stats = ExecStats::default();
-            facts
-                .into_iter()
-                .filter(|f| rules.iter().any(|r| r.supports(store, f, &mut stats)))
-                .collect()
-        }
+        round(
+            &self.all_rules(),
+            store.clone(),
+            RoundWork::Support(facts),
+            exec,
+        )
     }
-}
-
-/// One sequential delta round over a frozen store: the round's delta facts
-/// are grouped into **one seed batch per (rule, pivot)** and each group
-/// runs through the pivot's batch plan in a single pass. Heads are
-/// collected without dedup (callers dedup on insertion into their marked
-/// set or model).
-fn delta_round_on<S: StoreView + ?Sized>(
-    rules: &[CompiledRule],
-    store: &S,
-    delta: &[Fact],
-    stats: &mut ExecStats,
-) -> Vec<Fact> {
-    let mut out = Vec::new();
-    for rule in rules {
-        for pp in &rule.pivots {
-            let seeds = pp.seeds(delta);
-            pp.body.derive_batch(store, &seeds, stats, &mut |args| {
-                out.push(Fact::new(rule.head_pred, args));
-            });
-        }
-    }
-    out
 }
 
 /// Naive fixpoint of one stratum's rules over `model` (in place).
-fn fixpoint_naive(
-    rules: &[CompiledRule],
-    model: &mut Instance,
-    stats: &mut ExecStats,
-) -> (usize, usize) {
+fn fixpoint_naive(rules: &[CompiledRule], model: &mut Instance) -> (usize, usize) {
     let mut iterations = 0;
     let mut derived = 0;
+    let mut stats = ExecStats::default();
     let mut buffer = Vec::new();
     loop {
         iterations += 1;
         let mut new_facts = 0;
         for rule in rules {
             buffer.clear();
-            rule.apply_full(model, stats, &mut buffer);
+            rule.apply_full(model, &mut stats, &mut buffer);
             for fact in buffer.drain(..) {
                 if model.insert(fact) {
                     new_facts += 1;
@@ -430,161 +366,145 @@ fn fixpoint_naive(
     }
 }
 
-/// The smallest delta a parallel round bothers fanning out; below this
-/// the snapshot + merge overhead outweighs the work.
+/// The smallest fact list a [`round`] cuts into more than one work unit;
+/// below this the per-task overhead outweighs the work.
 const PARALLEL_DELTA_THRESHOLD: usize = 16;
 
-/// One parallel delta round: the delta is partitioned into contiguous
-/// chunks across `exec`, and each task batches its chunk per (rule, pivot)
-/// — one seed batch per group, evaluated against a [`Snapshot`] of the
-/// model frozen at round start (the pool steals whole batches, not
-/// tuples). Per-task buffers are merged deterministically (concatenate in
-/// chunk order, sort, dedup), so the round's candidate set — and therefore
-/// the whole fixpoint — is independent of scheduling.
-fn parallel_round(
+/// The work of one [`round`].
+enum RoundWork {
+    /// Round 0 of semi-naive evaluation: every rule's full plan; keeps
+    /// the derived facts the snapshot lacks.
+    Full,
+    /// An insertion delta round: every (rule, pivot) delta plan, seeded
+    /// with these facts; keeps the derived facts the snapshot lacks.
+    Delta(Vec<Fact>),
+    /// A DRed over-deletion round: like [`RoundWork::Delta`], but keeps
+    /// every derived fact — the snapshot is the model before deletion,
+    /// which holds them all.
+    Overdelete(Vec<Fact>),
+    /// DRed re-derivation: keeps the facts some rule's support plan
+    /// derives in one step.
+    Support(Vec<Fact>),
+}
+
+/// Runs one round of `work` over `rules` against `snap`, the model frozen
+/// at round start, and returns the facts the round keeps (see
+/// [`RoundWork`]), sorted and deduplicated.
+///
+/// This is the one code path of every Datalog round, whatever the
+/// executor. The caller's work is cut into units — one per rule for
+/// [`RoundWork::Full`]; for the fact-driven rounds one unit below
+/// [`PARALLEL_DELTA_THRESHOLD`] facts, otherwise two contiguous chunks per
+/// executor thread — and [`Executor::map`] decides whether the units fan
+/// out. Within a unit each (rule, pivot) group runs as one seed batch, so
+/// the pool steals whole batches, not tuples. Insertion rounds drop
+/// facts the snapshot already holds inside the task, so re-derivations
+/// never reach the merge; the merge (concatenate in unit order, sort,
+/// dedup) makes the result independent of scheduling.
+///
+/// `snap` is consumed and dropped before this returns: the caller may
+/// then insert into the model it was taken from without a copy-on-write
+/// deep copy of every touched relation.
+fn round(
     rules: &Arc<Vec<CompiledRule>>,
-    snap: &Snapshot,
-    delta: &Arc<Vec<Fact>>,
+    snap: Snapshot,
+    work: RoundWork,
     exec: &Executor,
-    stats: &mut ExecStats,
 ) -> Vec<Fact> {
-    let ranges = partition(delta.len(), exec.threads() * 2);
-    let (rules, snap2, delta2) = (Arc::clone(rules), snap.clone(), Arc::clone(delta));
-    let results = exec.map(ranges, move |range| {
-        let mut local: Vec<Fact> = Vec::new();
-        let mut local_stats = ExecStats::default();
-        let chunk = &delta2[range];
-        for rule in rules.iter() {
-            for pp in &rule.pivots {
-                let seeds = pp.seeds(chunk);
-                pp.body
-                    .derive_batch(&snap2, &seeds, &mut local_stats, &mut |args| {
-                        local.push(Fact::new(rule.head_pred, args));
-                    });
-            }
+    let units = match &work {
+        RoundWork::Full => (0..rules.len()).map(|i| i..i + 1).collect(),
+        RoundWork::Delta(facts) | RoundWork::Overdelete(facts) | RoundWork::Support(facts) => {
+            let parts = if facts.len() < PARALLEL_DELTA_THRESHOLD {
+                1
+            } else {
+                exec.threads() * 2
+            };
+            partition(facts.len(), parts)
         }
-        local.sort_unstable();
-        local.dedup();
-        (local, local_stats)
+    };
+    let (rules, work) = (Arc::clone(rules), Arc::new(work));
+    let results = exec.map(units, move |range| {
+        let mut out: Vec<Fact> = Vec::new();
+        let mut stats = ExecStats::default();
+        match &*work {
+            RoundWork::Full => {
+                for rule in &rules[range] {
+                    rule.apply_full(&snap, &mut stats, &mut out);
+                }
+                out.retain(|fact| !snap.contains(fact));
+            }
+            RoundWork::Delta(delta) | RoundWork::Overdelete(delta) => {
+                let new_only = matches!(&*work, RoundWork::Delta(_));
+                let chunk = &delta[range];
+                for rule in rules.iter() {
+                    for pp in &rule.pivots {
+                        let seeds = pp.seeds(chunk);
+                        pp.body
+                            .derive_batch(&snap, &seeds, &mut stats, &mut |args| {
+                                let fact = Fact::new(rule.head_pred, args);
+                                if !(new_only && snap.contains(&fact)) {
+                                    out.push(fact);
+                                }
+                            });
+                    }
+                }
+            }
+            RoundWork::Support(facts) => out.extend(
+                facts[range]
+                    .iter()
+                    .filter(|f| rules.iter().any(|r| r.supports(&snap, f, &mut stats)))
+                    .cloned(),
+            ),
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
     });
-    let mut merged: Vec<Fact> = Vec::new();
-    for (local, local_stats) in results {
-        stats.absorb(&local_stats);
-        merged.extend(local);
-    }
+    let mut merged: Vec<Fact> = results.into_iter().flatten().collect();
     merged.sort_unstable();
     merged.dedup();
     merged
 }
 
+/// Inserts `facts` into `model` and returns the ones that were new.
+fn insert_new(model: &mut Instance, facts: Vec<Fact>) -> Vec<Fact> {
+    facts
+        .into_iter()
+        .filter(|fact| model.insert(fact.clone()))
+        .collect()
+}
+
 /// Propagates `delta` through the compiled delta plans to a fixpoint:
-/// each round matches every delta fact against every rule's pivot atoms,
-/// seeds the pivot's plan with the match, and collects new derivations
-/// into the next round's delta. Returns `(rounds, derived)`.
-///
-/// Rounds with a delta worth splitting are partitioned across `exec`; the
-/// final model is identical either way (see
-/// [`CompiledProgram::eval_semi_naive_on`]).
-fn propagate_delta_compiled(
+/// each [`round`] matches every delta fact against every rule's pivot
+/// atoms, seeds the pivot's plan with the match, and the new derivations
+/// form the next round's delta. Returns `(rounds, derived)`.
+fn propagate_delta(
     rules: &Arc<Vec<CompiledRule>>,
     model: &mut Instance,
     mut delta: Vec<Fact>,
-    stats: &mut ExecStats,
     exec: &Executor,
 ) -> (usize, usize) {
-    let mut iterations = 0;
+    let mut rounds = 0;
     let mut derived = 0;
-    let mut buffer: Vec<Fact> = Vec::new();
     while !delta.is_empty() {
-        iterations += 1;
-        if exec.threads() > 1 && delta.len() >= PARALLEL_DELTA_THRESHOLD {
-            let snap = model.snapshot();
-            let delta_arc = Arc::new(std::mem::take(&mut delta));
-            for fact in parallel_round(rules, &snap, &delta_arc, exec, stats) {
-                if model.insert(fact.clone()) {
-                    delta.push(fact);
-                    derived += 1;
-                }
-            }
-            continue;
-        }
-        // Sequential round: one seed batch per (rule, pivot) group.
-        // Derivations of earlier groups are inserted before later groups
-        // run (eager, like the old per-fact loop between facts); within a
-        // group the batch sees the model as of group start — anything
-        // missed reappears via the next round's delta, so the fixpoint is
-        // unchanged (the semi-naive argument; only `iterations` can
-        // differ).
-        let mut next_delta = Vec::new();
-        for rule in rules.iter() {
-            for pp in &rule.pivots {
-                let seeds = pp.seeds(&delta);
-                buffer.clear();
-                pp.body.derive_batch(model, &seeds, stats, &mut |args| {
-                    buffer.push(Fact::new(rule.head_pred, args));
-                });
-                for derived_fact in buffer.drain(..) {
-                    if model.insert(derived_fact.clone()) {
-                        next_delta.push(derived_fact);
-                        derived += 1;
-                    }
-                }
-            }
-        }
-        delta = next_delta;
+        rounds += 1;
+        let candidates = round(rules, model.snapshot(), RoundWork::Delta(delta), exec);
+        delta = insert_new(model, candidates);
+        derived += delta.len();
     }
-    (iterations, derived)
+    (rounds, derived)
 }
 
 /// Semi-naive fixpoint of one stratum's rules over `model` (in place).
 fn fixpoint_semi_naive(
     rules: &Arc<Vec<CompiledRule>>,
     model: &mut Instance,
-    stats: &mut ExecStats,
     exec: &Executor,
 ) -> (usize, usize) {
-    // Round 0: full pass to seed the deltas (parallelized across rules —
-    // each task evaluates one rule's full plan against a frozen snapshot).
-    let mut derived = 0;
-    let mut delta: Vec<Fact> = Vec::new();
-    if exec.threads() > 1 && rules.len() > 1 {
-        let snap = model.snapshot();
-        let rules2 = Arc::clone(rules);
-        let results = exec.map((0..rules.len()).collect(), move |ri| {
-            let mut local = Vec::new();
-            let mut local_stats = ExecStats::default();
-            rules2[ri].apply_full(&snap, &mut local_stats, &mut local);
-            local.sort_unstable();
-            local.dedup();
-            (local, local_stats)
-        });
-        let mut merged: Vec<Fact> = Vec::new();
-        for (local, local_stats) in results {
-            stats.absorb(&local_stats);
-            merged.extend(local);
-        }
-        merged.sort_unstable();
-        merged.dedup();
-        for fact in merged {
-            if model.insert(fact.clone()) {
-                delta.push(fact);
-                derived += 1;
-            }
-        }
-    } else {
-        let mut buffer = Vec::new();
-        for rule in rules.iter() {
-            buffer.clear();
-            rule.apply_full(model, stats, &mut buffer);
-            for fact in buffer.drain(..) {
-                if model.insert(fact.clone()) {
-                    delta.push(fact);
-                    derived += 1;
-                }
-            }
-        }
-    }
-    let (rounds, propagated) = propagate_delta_compiled(rules, model, delta, stats, exec);
+    // Round 0: every rule's full plan seeds the first delta.
+    let delta = insert_new(model, round(rules, model.snapshot(), RoundWork::Full, exec));
+    let derived = delta.len();
+    let (rounds, propagated) = propagate_delta(rules, model, delta, exec);
     (1 + rounds, derived + propagated)
 }
 
@@ -609,14 +529,14 @@ impl Program {
         CompiledProgram::compile(self, Some(edb), true).eval_semi_naive(edb)
     }
 
-    /// [`Program::eval_semi_naive`] with each fixpoint round's delta
-    /// partitioned across `exec`.
+    /// [`Program::eval_semi_naive`] with every fixpoint round run through
+    /// `exec`, which may fan the round's work out.
     ///
-    /// The least model is **identical** to the sequential one: parallel
-    /// rounds run against a frozen snapshot of the model and merge worker
-    /// buffers by sorted dedup, so only the round in which a fact is
-    /// discovered (and hence [`FixpointResult::iterations`]) can differ.
-    /// Property tests assert model equality on random programs.
+    /// The result is **identical** to the sequential one — model,
+    /// [`FixpointResult::iterations`] and [`FixpointResult::derived`]:
+    /// every executor runs the same rounds against a frozen snapshot of
+    /// the model and merges by sorted dedup. Property tests assert model
+    /// equality on random programs.
     pub fn eval_semi_naive_on(&self, edb: &Instance, exec: &Executor) -> FixpointResult {
         CompiledProgram::compile(self, Some(edb), true).eval_semi_naive_on(edb, exec)
     }
@@ -728,6 +648,21 @@ mod tests {
         assert_eq!(naive.model, semi.model);
         assert_eq!(naive.derived, 15);
         assert_eq!(semi.derived, 15);
+    }
+
+    #[test]
+    fn every_executor_runs_the_same_rounds() {
+        // One code path: a pooled run differs from the sequential one only
+        // in where the round's units execute, so even the round count
+        // agrees.
+        let mut v = Vocabulary::new();
+        let (_, edb) = chain_edb(&mut v, 40);
+        let (_, program) = tc_program(&mut v);
+        let seq = program.eval_semi_naive(&edb);
+        let par = program.eval_semi_naive_on(&edb, &Executor::with_threads(2));
+        assert_eq!(seq.model, par.model);
+        assert_eq!(seq.iterations, par.iterations);
+        assert_eq!(seq.derived, par.derived);
     }
 
     #[test]

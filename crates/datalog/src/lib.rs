@@ -10,7 +10,12 @@
 //!   range-restriction validation;
 //! * [`Program::eval_naive`] computes the least model by naive iteration;
 //! * [`Program::eval_semi_naive`] computes the same model with semi-naive
-//!   (delta-driven) evaluation;
+//!   (delta-driven) evaluation, and [`Program::eval_semi_naive_on`] runs
+//!   it on a [`magik_exec::Executor`] — the same rounds either way, each
+//!   against a frozen snapshot of the model, with the executor deciding
+//!   whether a round's units fan out;
+//! * [`Materialized`] keeps a least model under insertion (delta rounds)
+//!   and retraction (DRed), through those same rounds;
 //! * [`Program::dependency_graph`] and [`Program::is_recursive`] expose the
 //!   predicate dependency structure.
 //!

@@ -57,11 +57,16 @@ impl Executor {
 
     /// Applies `f` to every item, returning results **in input order**.
     ///
-    /// Sequentially this is a plain loop; pooled it is a fork-join on the
-    /// shared pool (the calling thread assists while waiting, so nesting
-    /// is safe). Results are deterministic in *order* either way; callers
+    /// Sequentially — and for batches of zero or one item on any
+    /// executor, where there is nothing to fan out — this is a plain loop
+    /// on the calling thread; otherwise it is a fork-join on the shared
+    /// pool (the calling thread assists while waiting, so nesting is
+    /// safe). Results are deterministic in *order* either way; callers
     /// needing deterministic *content* must keep `f` free of cross-task
     /// effects.
+    ///
+    /// Callers therefore only cut their work into items: whether it fans
+    /// out is decided here.
     pub fn map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
@@ -69,8 +74,8 @@ impl Executor {
         F: Fn(T) -> R + Send + Sync + 'static,
     {
         match self {
-            Executor::Sequential => items.into_iter().map(f).collect(),
-            Executor::Pooled(pool) => pool.run_map(items, f),
+            Executor::Pooled(pool) if items.len() > 1 => pool.run_map(items, f),
+            _ => items.into_iter().map(f).collect(),
         }
     }
 }
@@ -100,5 +105,13 @@ mod tests {
         ex.map((0..10u32).collect(), |x| x);
         assert!(ex.counters().tasks >= 10);
         assert_eq!(Executor::Sequential.counters(), PoolCounters::default());
+    }
+
+    #[test]
+    fn pooled_map_runs_single_items_inline() {
+        let ex = Executor::with_threads(2);
+        assert_eq!(ex.map(vec![1u32], |x| x + 1), vec![2]);
+        assert_eq!(ex.map(Vec::<u32>::new(), |x| x + 1), Vec::<u32>::new());
+        assert_eq!(ex.counters().tasks, 0);
     }
 }

@@ -209,6 +209,11 @@ impl ThreadPool {
                 // Catch here (not just in the worker) so the submitter
                 // learns about the panic and can re-raise it.
                 let result = catch_unwind(AssertUnwindSafe(|| f(item)));
+                // Release this task's handle on `f` before reporting: once
+                // the last result is in, `run_map` holds the only one, so
+                // whatever `f` captured (a snapshot, say) is gone when it
+                // returns.
+                drop(f);
                 let _ = tx.send((i, result));
             });
         }
@@ -401,6 +406,23 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(pool.counters().panics, 8);
         assert_eq!(pool.threads(), 2);
+    }
+
+    #[test]
+    fn run_map_releases_what_the_closure_captured() {
+        // Callers drop snapshots by moving them into `f`; nothing `f`
+        // captured may outlive the call, or the caller's next write to
+        // the snapshotted store pays a copy-on-write.
+        let pool = ThreadPool::new(2);
+        for _ in 0..50 {
+            let shared = Arc::new(());
+            let captured = Arc::clone(&shared);
+            pool.run_map((0..8u32).collect(), move |x| {
+                let _ = &captured;
+                x
+            });
+            assert_eq!(Arc::strong_count(&shared), 1);
+        }
     }
 
     #[test]
