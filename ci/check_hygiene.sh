@@ -86,8 +86,20 @@ if [ -n "$forbidden" ]; then
   exit 1
 fi
 
+# Serving-path boundary: the server answers `guaranteed` by applying T_C
+# (equation (1)) on the request's snapshot. The Datalog encoding of T_C
+# is a paper artefact kept for cross-validation, so the server must not
+# depend on the Datalog engine directly.
+forbidden=$(grep -En '^magik-datalog[ ".=]' crates/server/Cargo.toml || true)
+if [ -n "$forbidden" ]; then
+  echo "hygiene: crates/server/Cargo.toml depends on magik-datalog:" >&2
+  echo "$forbidden" >&2
+  exit 1
+fi
+
 echo "hygiene: all crate roots forbid unsafe_code and deny missing_docs"
 echo "hygiene: unsafe code is confined to the runtime poller's epoll backend"
 echo "hygiene: fsync primitives are confined to crates/storage"
 echo "hygiene: every M0xx code is catalogued in ANALYSES.md"
 echo "hygiene: magik-cert has no dependency on the engine crates"
+echo "hygiene: magik-server has no dependency on magik-datalog"

@@ -605,6 +605,19 @@ fn collect_magik_files(dir: &std::path::Path, out: &mut Vec<String>) -> std::io:
     Ok(())
 }
 
+/// The value of a `--format` flag, which must be one of `allowed`. A
+/// missing or unknown value prints the allowed values and yields exit
+/// code 1.
+fn format_arg(value: Option<&String>, allowed: &[&'static str]) -> Result<&'static str, ExitCode> {
+    if let Some(&f) = value.and_then(|v| allowed.iter().find(|&&a| a == v)) {
+        return Ok(f);
+    }
+    let quoted: Vec<String> = allowed.iter().map(|a| format!("`{a}`")).collect();
+    let (last, init) = quoted.split_last().expect("at least one format");
+    eprintln!("magik: --format requires {} or {last}", init.join(", "));
+    Err(ExitCode::from(1))
+}
+
 /// `magik analyze <file|dir>... [--format text|json|sarif] [--deny LEVEL]
 /// [--fix] [--baseline F] [--write-baseline F] [--explain M0xx]` — run
 /// the static analyzer over every input (directories recurse into
@@ -623,15 +636,14 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     let mut rest = args.iter();
     while let Some(opt) = rest.next() {
         match opt.as_str() {
-            "--format" => match rest.next().map(String::as_str) {
-                Some("text") => format = AnalyzeFormat::Text,
-                Some("json") => format = AnalyzeFormat::Json,
-                Some("sarif") => format = AnalyzeFormat::Sarif,
-                _ => {
-                    eprintln!("magik: --format requires `text`, `json` or `sarif`");
-                    return ExitCode::from(1);
+            "--format" => {
+                format = match format_arg(rest.next(), &["text", "json", "sarif"]) {
+                    Ok("json") => AnalyzeFormat::Json,
+                    Ok("sarif") => AnalyzeFormat::Sarif,
+                    Ok(_) => AnalyzeFormat::Text,
+                    Err(code) => return code,
                 }
-            },
+            }
             "--deny" => match rest.next().and_then(|v| Severity::parse(v)) {
                 Some(level) => deny = level,
                 None => {
@@ -856,13 +868,9 @@ fn cmd_explain_plan(args: &[String]) -> ExitCode {
     let mut rest = args.iter();
     while let Some(opt) = rest.next() {
         match opt.as_str() {
-            "--format" => match rest.next().map(String::as_str) {
-                Some("text") => json = false,
-                Some("json") => json = true,
-                _ => {
-                    eprintln!("magik: --format requires `text` or `json`");
-                    return ExitCode::from(1);
-                }
+            "--format" => match format_arg(rest.next(), &["text", "json"]) {
+                Ok(f) => json = f == "json",
+                Err(code) => return code,
             },
             other if other == "-" || (!other.starts_with('-') && file.is_none()) => {
                 file = Some(other.to_string());
@@ -1400,13 +1408,9 @@ fn main() -> ExitCode {
             },
             "--naive" => naive = true,
             "--why" if command == "check" => why = true,
-            "--format" if command == "check" => match rest.next().map(String::as_str) {
-                Some("text") => why_json = false,
-                Some("json") => why_json = true,
-                _ => {
-                    eprintln!("magik: --format requires `text` or `json`");
-                    return ExitCode::from(1);
-                }
+            "--format" if command == "check" => match format_arg(rest.next(), &["text", "json"]) {
+                Ok(f) => why_json = f == "json",
+                Err(code) => return code,
             },
             other => {
                 eprintln!("magik: unknown option `{other}`\n{USAGE}");

@@ -336,6 +336,31 @@ fn malformed_server_flags_fail_alike_for_serve_and_replicate() {
 }
 
 #[test]
+fn malformed_format_flags_exit_1_with_the_allowed_values() {
+    let text_json = "--format requires `text` or `json`";
+    let cases: &[(&str, &str)] = &[
+        ("check", text_json),
+        ("explain-plan", text_json),
+        ("analyze", "--format requires `text`, `json` or `sarif`"),
+    ];
+    let school = school_file();
+    for (command, message) in cases {
+        for value in [None, Some("yaml")] {
+            let mut args = vec![*command, school.as_str(), "--format"];
+            args.extend(value);
+            let out = magik(&args);
+            assert_eq!(out.status.code(), Some(1), "magik {}", args.join(" "));
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("magik: {message}\n"),
+                "magik {}",
+                args.join(" ")
+            );
+        }
+    }
+}
+
+#[test]
 fn parse_errors_exit_with_code_2() {
     let dir = std::env::temp_dir().join("magik-cli-test");
     std::fs::create_dir_all(&dir).unwrap();

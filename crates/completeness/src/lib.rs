@@ -97,6 +97,6 @@ pub use keys::{chase_query, ChaseOutcome, Key, KeyViolation};
 pub use lint::{lint, Lint};
 pub use mci::{is_instantiation_of, is_mci, mcis, mcis_bounded};
 pub use specialize::{k_mcs, k_mcs_on, KMcsEngine, KMcsOptions, KMcsOutcome, KMcsStats};
-pub use tc_op::{tc_apply, tc_apply_datalog, tc_encoding};
+pub use tc_op::{tc_apply, tc_apply_datalog, tc_contains, tc_encoding};
 pub use tcs::{TcSet, TcStatement};
 pub use unifiers::{complete_unifiers, complete_unifiers_naive};

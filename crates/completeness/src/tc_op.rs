@@ -6,17 +6,19 @@
 //! generalization operator.
 //!
 //! * [`tc_apply`] evaluates each associated query `Q_C` directly on the
-//!   relational engine;
+//!   relational engine, and [`tc_contains`] decides membership of one
+//!   fact in the result without building it — the serving path;
 //! * [`tc_apply_datalog`] uses the Section 5 encoding — `Rⁱ` facts and
 //!   `Rᵃ ← Rⁱ, Gⁱ` rules — on the Datalog engine (the paper ran this on
-//!   dlv).
+//!   dlv). It is a paper artefact, kept to cross-validate the direct
+//!   implementation.
 //!
 //! Both compute the same function; property tests assert the agreement.
 
 use std::collections::BTreeMap;
 
 use magik_datalog::{Program, Rule};
-use magik_relalg::{answers, Atom, Fact, Instance, Pred, Vocabulary};
+use magik_relalg::{answers, has_answer, Atom, Fact, Instance, Pred, StoreView, Vocabulary};
 
 use crate::tcs::TcSet;
 
@@ -31,6 +33,15 @@ pub fn tc_apply(tcs: &TcSet, db: &Instance) -> Instance {
         }
     }
     out
+}
+
+/// Decides `fact ∈ T_C(db)`: some statement whose head relation is
+/// `fact.pred` has the fact's tuple as an answer of its associated query
+/// `Q_C` over `db`. A first-match search per statement; `T_C(db)` is
+/// never built.
+pub fn tc_contains<S: StoreView>(tcs: &TcSet, db: &S, fact: &Fact) -> bool {
+    tcs.for_pred(fact.pred)
+        .any(|c| has_answer(&c.associated_query(), db, &fact.args))
 }
 
 /// The Section 5 Datalog encoding of a TCS set.

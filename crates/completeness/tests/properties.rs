@@ -12,8 +12,8 @@ use magik_completeness::semantics::IncompleteDatabase;
 use magik_completeness::{
     cert_statements, certify, complete_unifiers, g_op, is_complete, is_complete_under,
     is_complete_via_datalog, is_instantiation_of, k_mcs, k_mcs_on, mcg, mcg_under, mcis,
-    repair_suggestions, tc_apply, tc_apply_datalog, ConstraintSet, FiniteDomain, KMcsEngine,
-    KMcsOptions, TcSet, TcStatement,
+    repair_suggestions, tc_apply, tc_apply_datalog, tc_contains, ConstraintSet, FiniteDomain,
+    KMcsEngine, KMcsOptions, TcSet, TcStatement,
 };
 use magik_exec::Executor;
 use magik_relalg::{
@@ -151,13 +151,20 @@ proptest! {
         prop_assert!(pair.satisfies_all(&tcs));
     }
 
-    /// The direct and the Datalog-encoded T_C agree.
+    /// The direct and the Datalog-encoded T_C agree, and so does the
+    /// first-match membership test on an instance and on its snapshot,
+    /// for stored and for fresh facts.
     #[test]
-    fn tc_direct_equals_tc_datalog(specs in proptest::collection::vec(atcs(), 0..4), d in proptest::collection::vec(aatom(), 0..8)) {
+    fn tc_direct_equals_tc_datalog(specs in proptest::collection::vec(atcs(), 0..4), d in proptest::collection::vec(aatom(), 0..8), fresh in proptest::collection::vec(aatom(), 0..4)) {
         let mut ctx = Ctx::new();
         let tcs = ctx.tcs(&specs);
         let db = ctx.instance(&d);
         let direct = tc_apply(&tcs, &db);
+        let snapshot = db.snapshot();
+        for f in db.iter_facts().chain(ctx.instance(&fresh).iter_facts()) {
+            prop_assert_eq!(tc_contains(&tcs, &db, &f), direct.contains(&f));
+            prop_assert_eq!(tc_contains(&tcs, &snapshot, &f), direct.contains(&f));
+        }
         let datalog = tc_apply_datalog(&tcs, &db, &mut ctx.vocab);
         prop_assert_eq!(direct, datalog);
     }

@@ -6,17 +6,17 @@
 //! [`CompiledBody`] plans from `magik-exec`: one *full* plan evaluating
 //! the whole body, and — for semi-naive evaluation — one *delta* plan per
 //! body-atom pivot, with the pivot's variables declared bound so each
-//! delta fact seeds the run via [`match_ground`]. The plans fix atom order
-//! and index access paths up front and are reused across all fixpoint
-//! rounds and increments, replacing the old per-round query construction
-//! (`apply_rule`/`apply_rule_with_pivot`) that re-planned every rule body
-//! at every search node of every round.
+//! delta fact seeds the run via [`match_ground`]. The plans fix atom
+//! order and index access paths up front and are reused across all
+//! fixpoint rounds and increments, replacing the old per-round query
+//! construction (`apply_rule`/`apply_rule_with_pivot`) that re-planned
+//! every rule body at every search node of every round.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use magik_exec::{match_ground, partition, CompiledBody, ExecStats, Executor};
-use magik_relalg::{Atom, Cst, Fact, Instance, Pred, Snapshot, StoreView, Var};
+use magik_exec::{partition, CompiledBody, ExecStats, Executor};
+use magik_relalg::{match_ground, Atom, Cst, Fact, Instance, Pred, Snapshot, StoreView, Var};
 
 use crate::program::{Program, Rule};
 
@@ -50,7 +50,7 @@ impl PivotPlan {
         delta
             .iter()
             .filter(|f| f.pred == self.atom.pred)
-            .filter_map(|f| match_ground(&self.atom, &f.args))
+            .filter_map(|f| match_ground(&self.atom.args, &f.args))
             .collect()
     }
 }
@@ -136,7 +136,7 @@ impl CompiledRule {
         if self.head_pred != fact.pred {
             return false;
         }
-        let Some(seed) = match_ground(&self.head, &fact.args) else {
+        let Some(seed) = match_ground(&self.head.args, &fact.args) else {
             return false;
         };
         self.support

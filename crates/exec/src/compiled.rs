@@ -99,8 +99,9 @@ impl CompiledQuery {
 /// For **full** execution compile with an empty `bound` set and run with an
 /// empty seed. For **delta** execution compile the body *minus* the pivot
 /// atom with the pivot's variables declared `bound`, then seed each run
-/// from a delta fact via [`match_ground`]. Either way the plan is compiled
-/// once and reused across fixpoint rounds and increments.
+/// from a delta fact via [`magik_relalg::match_ground`]. Either way the
+/// plan is compiled once and reused across fixpoint rounds and
+/// increments.
 #[derive(Debug, Clone)]
 pub struct CompiledBody {
     plan: Plan,
@@ -246,39 +247,10 @@ impl CompiledBody {
     }
 }
 
-/// Matches a ground tuple against an atom pattern: the pivot step of delta
-/// execution. Returns the variable bindings induced by the match, or
-/// `None` if a constant disagrees or a repeated variable would need two
-/// values. The bindings seed a delta-mode [`CompiledBody`] run.
-pub fn match_ground(atom: &Atom, args: &[Cst]) -> Option<Vec<(Var, Cst)>> {
-    if atom.args.len() != args.len() {
-        return None;
-    }
-    let mut seed: Vec<(Var, Cst)> = Vec::with_capacity(args.len());
-    for (&t, &c) in atom.args.iter().zip(args) {
-        match t {
-            Term::Cst(tc) => {
-                if tc != c {
-                    return None;
-                }
-            }
-            Term::Var(v) => match seed.iter().find(|&&(sv, _)| sv == v) {
-                Some(&(_, bound)) => {
-                    if bound != c {
-                        return None;
-                    }
-                }
-                None => seed.push((v, c)),
-            },
-        }
-    }
-    Some(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magik_relalg::{Instance, Vocabulary};
+    use magik_relalg::{match_ground, Instance, Vocabulary};
 
     fn fact(v: &mut Vocabulary, p: Pred, args: &[&str]) -> Fact {
         Fact::new(p, args.iter().map(|s| v.cst(s)).collect())
@@ -353,14 +325,14 @@ mod tests {
             Some(&db),
         )
         .unwrap();
-        let seed = match_ground(&pivot, &[v.cst("a"), v.cst("b")]).unwrap();
+        let seed = match_ground(&pivot.args, &[v.cst("a"), v.cst("b")]).unwrap();
         let mut derived = Vec::new();
         body.for_each_derivation(&db, &seed, &mut ExecStats::default(), &mut |t| {
             derived.push(t);
         });
         assert_eq!(derived, vec![vec![v.cst("a"), v.cst("c")]]);
         // A delta fact that matches nothing downstream derives nothing.
-        let seed = match_ground(&pivot, &[v.cst("x"), v.cst("y")]).unwrap();
+        let seed = match_ground(&pivot.args, &[v.cst("x"), v.cst("y")]).unwrap();
         let mut none = Vec::new();
         body.for_each_derivation(&db, &seed, &mut ExecStats::default(), &mut |t| {
             none.push(t);
@@ -400,7 +372,7 @@ mod tests {
         ];
         let seeds: Vec<Vec<(Var, Cst)>> = deltas
             .iter()
-            .filter_map(|d| match_ground(&pivot, d))
+            .filter_map(|d| match_ground(&pivot.args, d))
             .collect();
         // Oracle: one for_each_derivation call per seed.
         let mut expect = Vec::new();
@@ -474,29 +446,16 @@ mod tests {
         let bound: BTreeSet<Var> = [xv, zv].into_iter().collect();
         let support = CompiledBody::compile(&head.args, &body, &[], &bound, Some(&db)).unwrap();
         let mut stats = ExecStats::default();
-        let seed = match_ground(&head, &[v.cst("a"), v.cst("c")]).unwrap();
+        let seed = match_ground(&head.args, &[v.cst("a"), v.cst("c")]).unwrap();
         assert!(support.has_derivation(&db, &seed, &mut stats));
-        let seed = match_ground(&head, &[v.cst("a"), v.cst("z")]).unwrap();
+        let seed = match_ground(&head.args, &[v.cst("a"), v.cst("z")]).unwrap();
         assert!(!support.has_derivation(&db, &seed, &mut stats));
         // A negated atom blocks the only supporting row.
         let neg = vec![Atom::new(blocked, vec![Term::Var(xv), Term::Var(zv)])];
         let guarded = CompiledBody::compile(&head.args, &body, &neg, &bound, Some(&db)).unwrap();
-        let seed = match_ground(&head, &[v.cst("a"), v.cst("c")]).unwrap();
+        let seed = match_ground(&head.args, &[v.cst("a"), v.cst("c")]).unwrap();
         assert!(guarded.has_derivation(&db, &seed, &mut stats));
         db.insert(fact(&mut v, blocked, &["a", "c"]));
         assert!(!guarded.has_derivation(&db, &seed, &mut stats));
-    }
-
-    #[test]
-    fn match_ground_handles_constants_and_repeats() {
-        let mut v = Vocabulary::new();
-        let p = v.pred("p", 3);
-        let x = v.var("X");
-        let (a, b) = (v.cst("a"), v.cst("b"));
-        let atom = Atom::new(p, vec![Term::Var(x), Term::Cst(a), Term::Var(x)]);
-        assert_eq!(match_ground(&atom, &[b, a, b]), Some(vec![(x, b)]));
-        assert_eq!(match_ground(&atom, &[b, b, b]), None); // constant mismatch
-        assert_eq!(match_ground(&atom, &[a, a, b]), None); // repeat mismatch
-        assert_eq!(match_ground(&atom, &[a, a]), None); // arity mismatch
     }
 }

@@ -14,8 +14,6 @@
 //! * [`CompiledBody`] — a rule-shaped body (positive atoms, stratified
 //!   negation, declared-bound pivot variables) compiled for full or
 //!   delta-mode execution, the building block of the Datalog engine;
-//! * [`match_ground`] — pivot matching: unifies a ground fact with an atom
-//!   pattern to produce the seed bindings of a delta run;
 //! * [`explain_text`] / [`explain_json`] — human- and machine-readable
 //!   renderings of a plan and its execution counters, backing the CLI's
 //!   `explain-plan` command;
@@ -32,7 +30,7 @@ mod executor;
 mod explain;
 pub mod reference;
 
-pub use compiled::{match_ground, CompiledBody, CompiledQuery};
+pub use compiled::{CompiledBody, CompiledQuery};
 pub use executor::{available_parallelism, partition, Executor, PoolCounters, ThreadPool};
 pub use explain::{explain_json, explain_text};
 pub use magik_relalg::batch::{Batch, BatchOp, BatchPlan, JoinStrategy};

@@ -12,7 +12,7 @@ use std::fmt;
 
 use crate::atom::{Atom, Pred};
 use crate::exec::{ExecStats, Plan, Projection};
-use crate::instance::Instance;
+use crate::instance::{Instance, StoreView};
 use crate::query::Query;
 use crate::subst::Substitution;
 use crate::term::{Cst, Term, Var};
@@ -77,34 +77,46 @@ pub fn answers(q: &Query, db: &Instance) -> Result<AnswerSet, EvalError> {
 /// Returns `false` if the arities of `target` and the head differ.
 ///
 /// Runs the compiled plan in first-match mode: the head variables are
-/// declared bound, seeded from `target`, and the search stops at the first
-/// witness.
-pub fn has_answer(q: &Query, db: &Instance, target: &[Cst]) -> bool {
-    if q.head.len() != target.len() {
+/// declared bound, seeded from `target` by [`match_ground`], and the
+/// search stops at the first witness. Runs on any [`StoreView`] — an
+/// [`Instance`] or a published [`Snapshot`](crate::Snapshot).
+pub fn has_answer<S: StoreView>(q: &Query, db: &S, target: &[Cst]) -> bool {
+    let Some(seed) = match_ground(&q.head, target) else {
         return false;
+    };
+    let bound: BTreeSet<Var> = seed.iter().map(|&(v, _)| v).collect();
+    let plan = Plan::compile(&q.body, &bound, Some(db));
+    plan.first_match(db, &seed, &mut ExecStats::default())
+}
+
+/// Matches a ground tuple against a term pattern (an atom's arguments or
+/// a query head). Returns the variable bindings induced by the match, or
+/// `None` if the lengths differ, a constant disagrees, or a repeated
+/// variable would need two values. The bindings seed a first-match or
+/// delta-mode plan run.
+pub fn match_ground(terms: &[Term], args: &[Cst]) -> Option<Vec<(Var, Cst)>> {
+    if terms.len() != args.len() {
+        return None;
     }
-    // Seed the assignment from the head/target correspondence.
-    let mut seed: Vec<(Var, Cst)> = Vec::new();
-    for (&t, &c) in q.head.iter().zip(target) {
+    let mut seed: Vec<(Var, Cst)> = Vec::with_capacity(args.len());
+    for (&t, &c) in terms.iter().zip(args) {
         match t {
             Term::Cst(tc) => {
                 if tc != c {
-                    return false;
+                    return None;
                 }
             }
             Term::Var(v) => match seed.iter().find(|&&(sv, _)| sv == v) {
                 Some(&(_, bound)) => {
                     if bound != c {
-                        return false;
+                        return None;
                     }
                 }
                 None => seed.push((v, c)),
             },
         }
     }
-    let bound: BTreeSet<Var> = seed.iter().map(|&(v, _)| v).collect();
-    let plan = Plan::compile(&q.body, &bound, Some(db));
-    plan.first_match(db, &seed, &mut ExecStats::default())
+    Some(seed)
 }
 
 /// One step of the plan that produced a [`Witness`]: which body atom the
@@ -137,27 +149,7 @@ pub struct Witness {
 /// cost is one row capture on the (single) accepted match, so callers that
 /// only need the boolean should keep using [`has_answer`].
 pub fn has_answer_witness(q: &Query, db: &Instance, target: &[Cst]) -> Option<Witness> {
-    if q.head.len() != target.len() {
-        return None;
-    }
-    let mut seed: Vec<(Var, Cst)> = Vec::new();
-    for (&t, &c) in q.head.iter().zip(target) {
-        match t {
-            Term::Cst(tc) => {
-                if tc != c {
-                    return None;
-                }
-            }
-            Term::Var(v) => match seed.iter().find(|&&(sv, _)| sv == v) {
-                Some(&(_, bound)) => {
-                    if bound != c {
-                        return None;
-                    }
-                }
-                None => seed.push((v, c)),
-            },
-        }
-    }
+    let seed = match_ground(&q.head, target)?;
     let bound: BTreeSet<Var> = seed.iter().map(|&(v, _)| v).collect();
     let plan = Plan::compile(&q.body, &bound, Some(db));
     let mut binding: Option<Vec<(Var, Cst)>> = None;
@@ -353,6 +345,19 @@ mod tests {
         );
         assert!(!has_answer(&q2, &db, &[a, b]));
         assert!(has_answer(&q2, &db, &[a, a]));
+    }
+
+    #[test]
+    fn match_ground_handles_constants_and_repeats() {
+        let mut v = Vocabulary::new();
+        let p = v.pred("p", 3);
+        let x = v.var("X");
+        let (a, b) = (v.cst("a"), v.cst("b"));
+        let atom = Atom::new(p, vec![Term::Var(x), Term::Cst(a), Term::Var(x)]);
+        assert_eq!(match_ground(&atom.args, &[b, a, b]), Some(vec![(x, b)]));
+        assert_eq!(match_ground(&atom.args, &[b, b, b]), None); // constant mismatch
+        assert_eq!(match_ground(&atom.args, &[a, a, b]), None); // repeat mismatch
+        assert_eq!(match_ground(&atom.args, &[a, a]), None); // arity mismatch
     }
 
     #[test]

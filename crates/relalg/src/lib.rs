@@ -66,8 +66,8 @@ pub use batch::{Batch, BatchPlan, JoinStrategy};
 pub use containment::{are_equivalent, is_contained_in, is_strictly_contained_in};
 pub use display::{DisplayWith, WithVocab};
 pub use eval::{
-    answers, has_answer, has_answer_witness, homomorphisms, Answer, AnswerSet, EvalError, Witness,
-    WitnessStep,
+    answers, has_answer, has_answer_witness, homomorphisms, match_ground, Answer, AnswerSet,
+    EvalError, Witness, WitnessStep,
 };
 pub use instance::{Instance, Relation, RowRef, Snapshot, StoreView};
 pub use minimize::{is_minimal, minimize, minimize_in_place};

@@ -10,17 +10,16 @@
 //!   evaluate entirely on the snapshot: **no lock is held during
 //!   reasoning**, so a slow `specialize` never blocks a concurrent
 //!   `check` or a writer.
-//! * `writer: Mutex<WriterState>` — the mutable master copy (database,
-//!   TCS set, incrementally maintained T_C materialization). Mutations
-//!   (`assert`, `retract`, `compl`) serialize on it, apply their change,
-//!   and publish a fresh snapshot before releasing the lock — so
-//!   snapshots become visible in write order and epochs are monotone.
-//!   Publishing is cheap: the relalg [`Instance`] is copy-on-write, so a
-//!   [`magik_relalg::Snapshot`] is O(#relations) `Arc` bumps.
+//! * `writer: Mutex<WriterState>` — the mutable master copy (database and
+//!   TCS set). Mutations (`assert`, `retract`, `compl`) serialize on it,
+//!   apply their change, and publish a fresh snapshot before releasing
+//!   the lock — so snapshots become visible in write order and epochs are
+//!   monotone. Publishing is cheap: the relalg [`Instance`] is
+//!   copy-on-write, so a [`magik_relalg::Snapshot`] is O(#relations)
+//!   `Arc` bumps.
 //! * `vocab: Mutex<Vocabulary>` — parsing interns names, so every request
 //!   briefly serializes on the vocabulary; it is released (or cloned, for
-//!   `specialize`) before any expensive reasoning. Acquired before
-//!   `writer` when both are needed.
+//!   `specialize`) before any expensive reasoning.
 //! * per-cache `Mutex`es — held only for the probe/insert itself.
 //!
 //! # Epochs and caching
@@ -36,23 +35,19 @@
 //! unreachable. Canonicalization ([`CanonicalQuery`]) makes the cache
 //! robust against renamed variables, reordered atoms, and redundant atoms.
 //!
-//! # Incremental T_C
+//! # Guarantees
 //!
-//! The writer keeps the Section 5 Datalog encoding of the T_C operator
-//! (`R^a ← R^i, G^i`) materialized over the stored facts via
-//! [`magik_datalog::Materialized`]: `assert` propagates just the new
-//! fact's consequences (delta semi-naive), `retract` repairs the model
-//! with DRed (over-delete, then re-derive — see the `magik-datalog`
-//! incremental module), and `compl` rebuilds the encoding. Each publish carries
-//! a snapshot of the fixpoint model, so the `guaranteed` request answers
-//! "is this fact certain to be in the available database?" in constant
-//! time without touching the writer.
+//! `guaranteed R(t̄)` asks whether the fact is in `T_C(D)` (equation (1)
+//! of the paper) for the snapshot's statements and stored facts. It is
+//! answered from that definition on the request's snapshot by
+//! [`tc_contains`]: one first-match search per statement over `R`, so
+//! writes do no T_C work at all.
 //!
 //! # Parallelism
 //!
-//! The engine owns an [`Executor`]; the T_C fixpoint and the `specialize`
-//! search fan out over it when it is pooled ([`Engine::with_session_on`]).
-//! The default is sequential, which embeds cleanly in tests and tools.
+//! The engine owns an [`Executor`]; the `specialize` search fans out over
+//! it when it is pooled ([`Engine::with_session_on`]). The default is
+//! sequential, which embeds cleanly in tests and tools.
 
 use std::hash::Hash;
 use std::path::Path;
@@ -63,17 +58,15 @@ use std::time::Instant;
 use magik_analyze::{analyze_check, analyze_query, analyze_state, analyze_statements};
 use magik_cert::{check_certificate, Certificate};
 use magik_completeness::{
-    cert_statements, certify, is_complete, k_mcs_on, mcg, tc_encoding, CanonicalQuery,
+    cert_statements, certify, is_complete, k_mcs_on, mcg, tc_contains, CanonicalQuery,
     ConstraintSet, KMcsOptions, TcSet,
 };
-use magik_datalog::Materialized;
 use magik_exec::{CompiledQuery, ExecStats, Executor};
 use magik_parser::{parse_atom, parse_query, parse_tcs, print_query};
-use magik_relalg::{Answer, DisplayWith, Fact, Instance, Pred, Snapshot, Vocabulary};
+use magik_relalg::{Answer, DisplayWith, Fact, Instance, Snapshot, Vocabulary};
 use magik_storage::{
     CheckpointImage, OpKind, Recovery, StorageError, Store, StoreOptions, WalRecord,
 };
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::cache::LruCache;
@@ -115,12 +108,6 @@ struct WriterState {
     tcs_epoch: u64,
     /// Bumped whenever `db` changes; part of every answer-cache key.
     data_epoch: u64,
-    /// The T_C encoding materialized over `db` (renamed to `R^i`).
-    tc_mat: Materialized,
-    /// Original predicate → its `R^i` variant in the encoding.
-    ideal: BTreeMap<Pred, Pred>,
-    /// Original predicate → its `R^a` variant in the encoding.
-    avail: Arc<BTreeMap<Pred, Pred>>,
 }
 
 /// One immutable published state: what every read-only request evaluates
@@ -135,39 +122,17 @@ struct StateSnapshot {
     tcs_epoch: u64,
     /// Data epoch of this snapshot.
     data_epoch: u64,
-    /// The materialized T_C fixpoint model at publish time.
-    tc_model: Snapshot,
-    /// Original predicate → its `R^a` variant in the encoding.
-    avail: Arc<BTreeMap<Pred, Pred>>,
 }
 
 impl WriterState {
-    /// Rebuilds the T_C materialization after the TCS set changed.
-    fn rebuild_tc(&mut self, vocab: &mut Vocabulary, exec: &Executor) {
-        let (program, ideal, avail) = tc_encoding(&self.tcs, vocab);
-        let mut edb = Instance::new();
-        for fact in self.db.iter_facts() {
-            if let Some(&pi) = ideal.get(&fact.pred) {
-                edb.insert(Fact::new(pi, fact.args));
-            }
-        }
-        self.tc_mat = Materialized::with_executor(program, edb, exec.clone())
-            .expect("the T_C encoding is a positive program");
-        self.ideal = ideal;
-        self.avail = Arc::new(avail);
-    }
-
     /// Builds the immutable snapshot of the current state. O(#relations):
-    /// both stores are copy-on-write, and the TCS and encoding maps are
-    /// shared by `Arc`.
+    /// the store is copy-on-write and the TCS set is shared by `Arc`.
     fn publish(&self) -> Arc<StateSnapshot> {
         Arc::new(StateSnapshot {
             db: self.db.snapshot(),
             tcs: Arc::clone(&self.tcs),
             tcs_epoch: self.tcs_epoch,
             data_epoch: self.data_epoch,
-            tc_model: self.tc_mat.model().snapshot(),
-            avail: Arc::clone(&self.avail),
         })
     }
 }
@@ -210,8 +175,8 @@ pub struct Engine {
     /// `Arc<Durability>`, and a pool inside it could end up dropped (and
     /// joined) from its own worker thread.
     checkpointer: Option<magik_runtime::ThreadPool>,
-    /// The compute executor: T_C fixpoints and `specialize` fan out over
-    /// it. Distinct from the server's connection pool, so reasoning tasks
+    /// The compute executor: the `specialize` search fans out over it.
+    /// Distinct from the server's connection pool, so reasoning tasks
     /// never compete with (or deadlock against) connection handlers.
     exec: Executor,
     /// The live mutation feed for log-shipping replication: every
@@ -239,28 +204,14 @@ impl Engine {
     }
 
     /// Like [`Engine::with_session`], but reasoning on `exec`: pooled
-    /// executors parallelize the T_C fixpoint and the `specialize`
-    /// search.
-    pub fn with_session_on(
-        mut vocab: Vocabulary,
-        tcs: TcSet,
-        db: Instance,
-        exec: Executor,
-    ) -> Engine {
-        let mut writer = WriterState {
+    /// executors parallelize the `specialize` search.
+    pub fn with_session_on(vocab: Vocabulary, tcs: TcSet, db: Instance, exec: Executor) -> Engine {
+        let writer = WriterState {
             db,
             tcs: Arc::new(tcs),
             tcs_epoch: 0,
             data_epoch: 0,
-            tc_mat: Materialized::new(
-                magik_datalog::Program::new(Vec::new()).expect("empty program"),
-                Instance::new(),
-            )
-            .expect("empty program is positive"),
-            ideal: BTreeMap::new(),
-            avail: Arc::new(BTreeMap::new()),
         };
-        writer.rebuild_tc(&mut vocab, &exec);
         let current = writer.publish();
         Engine {
             vocab: Mutex::new(vocab),
@@ -872,7 +823,7 @@ impl Engine {
             .to_string())
     }
 
-    /// `assert <atom>` — insert a ground fact; maintains T_C incrementally.
+    /// `assert <atom>` — insert a ground fact.
     /// On a durable engine the op is logged (and fsynced per policy)
     /// *before* it is applied: an append failure leaves memory untouched.
     fn req_assert(&self, src: &str) -> Result<String, (&'static str, String)> {
@@ -882,21 +833,15 @@ impl Engine {
             return Ok("ok duplicate".to_string());
         }
         self.log_mutation(OpKind::Assert, src, writer.tcs_epoch, writer.data_epoch + 1)?;
-        writer.db.insert(fact.clone());
+        writer.db.insert(fact);
         writer.data_epoch += 1;
-        let pi = writer.ideal.get(&fact.pred).copied();
-        if let Some(pi) = pi {
-            writer.tc_mat.insert(Fact::new(pi, fact.args));
-        }
         self.swap(&writer);
         drop(writer);
         self.after_mutation();
         Ok("ok inserted".to_string())
     }
 
-    /// `retract <atom>` — remove a ground fact; maintains T_C by DRed
-    /// (over-delete, then re-derive) and records the pass sizes in the
-    /// `dred.*` metrics.
+    /// `retract <atom>` — remove a ground fact.
     fn req_retract(&self, src: &str) -> Result<String, (&'static str, String)> {
         let fact = self.parse_fact(src)?;
         let mut writer = self.lock_writer();
@@ -911,30 +856,22 @@ impl Engine {
         )?;
         writer.db.remove(&fact);
         writer.data_epoch += 1;
-        let pi = writer.ideal.get(&fact.pred).copied();
-        if let Some(pi) = pi {
-            let stats = writer
-                .tc_mat
-                .retract_all(std::iter::once(Fact::new(pi, fact.args)));
-            self.metrics
-                .record_dred(stats.overdeleted as u64, stats.rederived as u64);
-        }
         self.swap(&writer);
         drop(writer);
         self.after_mutation();
         Ok("ok retracted".to_string())
     }
 
-    /// `compl <tcs>` — add a TC statement; bumps the TCS epoch and
-    /// rebuilds the T_C encoding.
+    /// `compl <tcs>` — add a TC statement; bumps the TCS epoch.
     fn req_compl(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let mut vocab = self.lock_vocab();
-        let stmt = parse_tcs(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
+        let stmt = {
+            let mut vocab = self.lock_vocab();
+            parse_tcs(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?
+        };
         let mut writer = self.lock_writer();
         self.log_mutation(OpKind::Compl, src, writer.tcs_epoch + 1, writer.data_epoch)?;
         Arc::make_mut(&mut writer.tcs).push(stmt);
         writer.tcs_epoch += 1;
-        writer.rebuild_tc(&mut vocab, &self.exec);
         self.swap(&writer);
         // Stale verdict keys are unreachable after the epoch bump; drop
         // them eagerly so they stop occupying cache capacity. Plans are
@@ -945,20 +882,16 @@ impl Engine {
         self.lock_cache(&self.plans).clear();
         let epoch = writer.tcs_epoch;
         drop(writer);
-        drop(vocab);
         self.after_mutation();
         Ok(format!("ok epoch={epoch}"))
     }
 
     /// `guaranteed <atom>` — is this fact certain to be available, i.e.
-    /// derived by the materialized T_C fixpoint?
+    /// in `T_C(D)` for the snapshot's statements and stored facts?
     fn req_guaranteed(&self, src: &str) -> Result<String, (&'static str, String)> {
         let fact = self.parse_fact(src)?;
         let snap = self.snapshot();
-        let guaranteed = match snap.avail.get(&fact.pred) {
-            Some(&pa) => snap.tc_model.contains(&Fact::new(pa, fact.args)),
-            None => false,
-        };
+        let guaranteed = tc_contains(&snap.tcs, &snap.db, &fact);
         Ok(format!("ok {guaranteed}"))
     }
 
@@ -1390,29 +1323,6 @@ mod tests {
     }
 
     #[test]
-    fn retract_reports_dred_metrics() {
-        let e = Engine::new();
-        // The TCS makes edge part of the T_C encoding, so asserts feed
-        // the materialized model and retracts run DRed over it.
-        e.handle("compl edge(X, Y) ; true.");
-        e.handle("assert edge(a, b).");
-        assert_eq!(e.handle("retract edge(a, b)."), "ok retracted");
-        let metrics = e.handle("metrics");
-        let field = |name: &str| {
-            metrics
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix(name))
-                .and_then(|v| v.strip_prefix('='))
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("{name} missing in {metrics}"))
-        };
-        // The ideal copy of edge(a,b) and everything it derived was
-        // over-deleted; nothing else derives it, so nothing comes back.
-        assert!(field("dred.overdeleted") >= 1, "{metrics}");
-        assert_eq!(field("dred.rederived"), 0, "{metrics}");
-    }
-
-    #[test]
     fn poisoned_cache_lock_is_recovered_not_fatal() {
         let e = Arc::new(paper_engine());
         let q = "check q(N) :- pupil(N, C, S), school(S, primary, merano).";
@@ -1495,7 +1405,6 @@ mod tests {
              exec.batch.count exec.batch.rows exec.join.nested exec.join.hash exec.join.merge \
              analysis_cache.hits analysis_cache.misses analysis_cache.rate \
              cert.cache.hits cert.cache.misses cert.cache.rate cert.complete cert.incomplete \
-             dred.overdeleted dred.rederived \
              wal.appends wal.bytes wal.fsyncs \
              checkpoint.count checkpoint.duration_ms recovery.replayed_ops \
              accept.errors lock.poisoned repl.shipped repl.applied repl.snapshots \

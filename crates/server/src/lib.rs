@@ -7,9 +7,10 @@
 //! [`Engine`] holding the session state, served over a line-oriented TCP
 //! protocol by a fixed pool of worker threads.
 //!
-//! * [`Engine`] — the shared session: database, TCS set, an incrementally
-//!   maintained T_C materialization, a canonical-form verdict cache, an
-//!   answer cache, and metrics. All entry points take `&self`. State is
+//! * [`Engine`] — the shared session: database, TCS set, a canonical-form
+//!   verdict cache, an answer cache, and metrics. `guaranteed` applies
+//!   `T_C` (equation (1)) on the request's snapshot, so writes maintain
+//!   no derived state. All entry points take `&self`. State is
 //!   published as immutable snapshots behind a swap point, so read
 //!   requests evaluate without holding any lock — a slow `specialize`
 //!   never blocks a concurrent `check`, and writers proceed undisturbed.

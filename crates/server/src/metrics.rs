@@ -171,8 +171,6 @@ struct Inner {
     exec_join_nested: u64,
     exec_join_hash: u64,
     exec_join_merge: u64,
-    dred_overdeleted: u64,
-    dred_rederived: u64,
     wal_appends: u64,
     wal_bytes: u64,
     wal_fsyncs: u64,
@@ -257,15 +255,6 @@ impl Metrics {
         inner.exec_join_nested += joins.0;
         inner.exec_join_hash += joins.1;
         inner.exec_join_merge += joins.2;
-    }
-
-    /// Accumulates DRed retraction work from one `retract` request: how
-    /// many facts the over-deletion pass removed and how many the
-    /// re-derivation pass restored.
-    pub fn record_dred(&self, overdeleted: u64, rederived: u64) {
-        let mut inner = self.inner();
-        inner.dred_overdeleted += overdeleted;
-        inner.dred_rederived += rederived;
     }
 
     /// Records one WAL append: its frame size and whether it fsynced.
@@ -381,11 +370,6 @@ impl Metrics {
             out,
             " cert.complete={} cert.incomplete={}",
             inner.cert_complete, inner.cert_incomplete,
-        );
-        let _ = write!(
-            out,
-            " dred.overdeleted={} dred.rederived={}",
-            inner.dred_overdeleted, inner.dred_rederived,
         );
         let _ = write!(
             out,
@@ -586,14 +570,5 @@ mod tests {
         .join();
         m.record_accept_error();
         assert!(m.render().contains("accept.errors=1"));
-    }
-
-    #[test]
-    fn render_includes_dred_counters() {
-        let m = Metrics::new();
-        assert!(m.render().contains("dred.overdeleted=0 dred.rederived=0"));
-        m.record_dred(7, 3);
-        m.record_dred(1, 0);
-        assert!(m.render().contains("dred.overdeleted=8 dred.rederived=3"));
     }
 }

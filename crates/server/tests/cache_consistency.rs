@@ -7,13 +7,14 @@
 //! check and eval is replayed — if an epoch bump failed to invalidate a
 //! stale cache entry, the replay would return the old verdict and diverge
 //! from the oracle. Every check/eval is also issued twice in a row so the
-//! second request exercises the cache-hit path.
+//! second request exercises the cache-hit path. A fixed-seed companion
+//! pins every `guaranteed` reply against `tc_apply` the same way.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use magik_completeness::{is_complete, TcSet};
+use magik_completeness::{is_complete, tc_apply, TcSet};
 use magik_parser::{parse_atom, parse_query, parse_tcs};
 use magik_relalg::{answers, DisplayWith, Instance, Vocabulary};
 use magik_server::Engine;
@@ -236,4 +237,111 @@ proptest! {
             }
         }
     }
+}
+
+/// A small deterministic generator (64-bit LCG) so the mutation sequence
+/// below is fixed and replayable without a proptest seed file.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+
+    fn term(&mut self) -> AT {
+        if self.below(4) == 0 {
+            AT::C(1 + self.below(3) as u8)
+        } else {
+            AT::V(self.below(3) as u8)
+        }
+    }
+
+    fn atom(&mut self) -> AAtom {
+        let pred = self.below(3);
+        let args = (0..PRED_ARITY[pred]).map(|_| self.term()).collect();
+        AAtom { pred, args }
+    }
+}
+
+/// Every ground fact over the test signature and the constants `c1..c3`.
+fn fact_universe() -> Vec<String> {
+    let cs = ["c1", "c2", "c3"];
+    let mut out: Vec<String> = cs.iter().map(|a| format!("p0({a})")).collect();
+    for p in 1..3 {
+        for a in cs {
+            for b in cs {
+                out.push(format!("p{p}({a}, {b})"));
+            }
+        }
+    }
+    out
+}
+
+/// `guaranteed f` answers membership in `T_C(D)` (equation (1)) for the
+/// session's current statements and facts, after every mutation of a
+/// fixed-seed assert/retract/compl sequence, for every fact of the
+/// universe — checked against `tc_apply` on a shadow `TcSet`/`Instance`.
+#[test]
+fn guaranteed_matches_tc_apply_under_mutations() {
+    let engine = Engine::new();
+    let mut oracle = Oracle::new();
+    let universe = fact_universe();
+    let mut rng = Lcg(0x5eed_0015);
+    // Stored facts seen guaranteed / not guaranteed.
+    let mut stored_outcomes = [0usize; 2];
+    for step in 0..120 {
+        match rng.below(10) {
+            0 | 1 => {
+                let head = rng.atom();
+                let cond: Vec<AAtom> = (0..rng.below(3)).map(|_| rng.atom()).collect();
+                let stmt = format!("{} ; {}.", atom_str(&head), cond_str(&cond));
+                let reply = engine.handle(&format!("compl {stmt}"));
+                assert!(reply.starts_with("ok epoch="), "compl {stmt}: {reply}");
+                let parsed = parse_tcs(&stmt, &mut oracle.vocab).expect("tcs parses");
+                oracle.tcs.push(parsed);
+            }
+            op => {
+                let f = &universe[rng.below(universe.len())];
+                let fact = parse_atom(f, &mut oracle.vocab)
+                    .expect("fact parses")
+                    .to_fact()
+                    .expect("fact is ground");
+                if op < 7 {
+                    let reply = engine.handle(&format!("assert {f}."));
+                    assert!(reply == "ok inserted" || reply == "ok duplicate", "{reply}");
+                    oracle.db.insert(fact);
+                } else {
+                    let reply = engine.handle(&format!("retract {f}."));
+                    assert!(reply == "ok retracted" || reply == "ok absent", "{reply}");
+                    oracle.db.remove(&fact);
+                }
+            }
+        }
+        let tc = tc_apply(&oracle.tcs, &oracle.db);
+        for f in &universe {
+            let fact = parse_atom(f, &mut oracle.vocab)
+                .expect("fact parses")
+                .to_fact()
+                .expect("fact is ground");
+            let expected = tc.contains(&fact);
+            if oracle.db.contains(&fact) {
+                stored_outcomes[usize::from(expected)] += 1;
+            }
+            assert_eq!(
+                engine.handle(&format!("guaranteed {f}.")),
+                format!("ok {expected}"),
+                "step {step}: guaranteed {f}"
+            );
+        }
+    }
+    // The sequence must exercise both answers on stored facts, or it
+    // pins nothing beyond `T_C(D) ⊆ D`.
+    assert!(
+        stored_outcomes.iter().all(|&n| n > 0),
+        "{stored_outcomes:?}"
+    );
 }

@@ -101,10 +101,10 @@ pub use magik_completeness::{
     k_mcs_certified, k_mcs_on, lint, mcg, mcg_certified, mcg_under, mcg_with_stats, mcis,
     mcis_bounded, publishable_counts, render_counterexample, render_explanation,
     render_explanation_with_locations, repair_suggestions, semantics, tc_apply, tc_apply_datalog,
-    tc_encoding, AnswerReport, CanonTerm, CanonicalQuery, ChaseOutcome, CheckExplanation,
-    ConstraintSet, CountBounds, FiniteDomain, GuaranteeWitness, KMcsEngine, KMcsOptions,
-    KMcsOutcome, KMcsStats, Key, KeyViolation, Lint, McgStats, PublishableCount, TcSet,
-    TcStatement,
+    tc_contains, tc_encoding, AnswerReport, CanonTerm, CanonicalQuery, ChaseOutcome,
+    CheckExplanation, ConstraintSet, CountBounds, FiniteDomain, GuaranteeWitness, KMcsEngine,
+    KMcsOptions, KMcsOutcome, KMcsStats, Key, KeyViolation, Lint, McgStats, PublishableCount,
+    TcSet, TcStatement,
 };
 pub use magik_datalog::{
     DerivationTree, Justification, MaterializeError, Materialized, Provenance, RetractStats,
