@@ -97,9 +97,54 @@ if [ -n "$forbidden" ]; then
   exit 1
 fi
 
+# Oracle boundary: magik-oracle holds the test-only oracles (the seed
+# evaluator, the SLD engine). It is never published, and only
+# `[dev-dependencies]` sections (plus the bench harness, which measures
+# against the oracles) may name it, so no production crate and no
+# release binary links it.
+if ! grep -Eq '^publish[[:space:]]*=[[:space:]]*false' crates/oracle/Cargo.toml; then
+  echo "hygiene: crates/oracle/Cargo.toml must set publish = false" >&2
+  exit 1
+fi
+# Prints each line of the given manifests that names crate $1 inside a
+# normal or build dependency section (workspace declarations and
+# dev-dependencies do not count).
+dependency_edges() {
+  awk -v dep="$1" '
+    /^[[:space:]]*\[/ {
+      header = $0
+      sub(/^[[:space:]]*/, "", header)
+      sub(/\][^]]*$/, "]", header)
+      edge = header ~ /^\[(target\..*\.)?(build-)?dependencies(\..*)?\]$/
+      if (edge && header ~ ("\\." dep "\\]$")) print FILENAME ": " $0
+      next
+    }
+    edge && $0 ~ ("^[[:space:]]*" dep "[[:space:]]*[.=]") { print FILENAME ": " $0 }
+  ' "${@:2}"
+}
+manifests=$(ls Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml | grep -v '^crates/bench/Cargo.toml$')
+# shellcheck disable=SC2086
+forbidden=$(dependency_edges magik-oracle $manifests)
+if [ -n "$forbidden" ]; then
+  echo "hygiene: a production dependency on magik-oracle:" >&2
+  echo "$forbidden" >&2
+  exit 1
+fi
+
+# CLI boundary: the `magik` binary depends on the crates it calls, not
+# on the `magik` facade (which re-exports workloads and more).
+forbidden=$(dependency_edges magik crates/cli/Cargo.toml)
+if [ -n "$forbidden" ]; then
+  echo "hygiene: crates/cli/Cargo.toml depends on the magik facade:" >&2
+  echo "$forbidden" >&2
+  exit 1
+fi
+
 echo "hygiene: all crate roots forbid unsafe_code and deny missing_docs"
 echo "hygiene: unsafe code is confined to the runtime poller's epoll backend"
 echo "hygiene: fsync primitives are confined to crates/storage"
 echo "hygiene: every M0xx code is catalogued in ANALYSES.md"
 echo "hygiene: magik-cert has no dependency on the engine crates"
 echo "hygiene: magik-server has no dependency on magik-datalog"
+echo "hygiene: magik-oracle is unpublished and only dev-dependencies (and benches) use it"
+echo "hygiene: magik-cli does not depend on the magik facade"

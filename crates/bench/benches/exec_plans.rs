@@ -15,10 +15,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use magik::datalog::{Program, Rule};
-use magik::exec::reference;
 use magik::workload::paper::school;
 use magik::workload::synth::{school_instance, SchoolDataConfig};
 use magik::{answers, Atom, CompiledQuery, ExecStats, Fact, Instance, Term, Vocabulary};
+use magik_oracle::seed_eval as reference;
 
 fn school_db(schools: usize) -> (magik::relalg::Query, Instance) {
     let w = school();

@@ -31,17 +31,25 @@ use std::process::ExitCode;
 
 mod repl;
 
-use magik::{
-    allow_directives, analyze_document, answers, cert_statements, certify, check_certificate,
-    classify_answers, count_bounds, counterexample, explain_check, explain_code, explain_json,
-    explain_text, filter_suppressed, fix_source, initial_sync, is_complete, is_complete_under,
-    k_mcs, lint, mcg_under, mcg_with_stats, parse_document, publishable_counts,
-    render_counterexample, render_explanation_with_locations, render_json, render_report,
-    render_sarif, run_replica, semantics::IncompleteDatabase, tc_apply, Baseline, Certificate,
-    Code, CompiledQuery, Diagnostic, DisplayWith, Document, DurabilityOptions, Engine, ExecStats,
-    FsyncPolicy, KMcsEngine, KMcsOptions, LineIndex, RecoveryReport, ReplicaStatus, SarifFile,
-    Server, ServerConfig, Severity, SourceFile, TcStatement, Vocabulary,
+use magik_analyze::{
+    allow_directives, analyze_document, explain_code, filter_suppressed, fix_source, render_json,
+    render_report, render_sarif, Baseline, Code, Diagnostic, SarifFile, Severity, SourceFile,
 };
+use magik_cert::{check_certificate, Certificate};
+use magik_completeness::{
+    cert_statements, certify, classify_answers, count_bounds, counterexample, explain_check,
+    is_complete, is_complete_under, k_mcs, lint, mcg_under, mcg_with_stats, publishable_counts,
+    render_counterexample, render_explanation_with_locations, semantics::IncompleteDatabase,
+    tc_apply, KMcsEngine, KMcsOptions, TcStatement,
+};
+use magik_exec::{explain_json, explain_text, CompiledQuery, ExecStats};
+use magik_parser::{parse_document, Document, LineIndex};
+use magik_relalg::{answers, DisplayWith, Vocabulary};
+use magik_server::{
+    initial_sync, run_replica, DurabilityOptions, Engine, RecoveryReport, ReplicaStatus, Server,
+    ServerConfig,
+};
+use magik_storage::FsyncPolicy;
 
 const USAGE: &str = "usage: magik <check|generalize|specialize|eval|explain> <file> [options]
 
@@ -287,20 +295,20 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
                 counterexample: ce,
                 repair,
             } => {
-                let facts = |fs: &mut dyn Iterator<Item = magik::Fact>| {
+                let facts = |fs: &mut dyn Iterator<Item = magik_relalg::Fact>| {
                     let rendered: Vec<String> = fs
                         .map(|f| {
                             format!(
                                 "\"{}\"",
                                 cli_json_escape(
-                                    &magik::relalg::unfreeze_fact(&f).display(vocab).to_string()
+                                    &magik_relalg::unfreeze_fact(&f).display(vocab).to_string()
                                 )
                             )
                         })
                         .collect();
                     rendered.join(",")
                 };
-                let ideal = magik::canonical_database(q);
+                let ideal = magik_relalg::canonical_database(q);
                 let _ = write!(
                     out,
                     ",\"counterexample\":{{\"ideal\":[{}],\"available\":[{}],\"lost\":\"{}\"}}",
@@ -774,7 +782,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         };
         let diags = analyze_document(&doc, &mut vocab);
         let directives = allow_directives(&doc.spans.comments);
-        let index = magik::parser::LineIndex::new(&src);
+        let index = magik_parser::LineIndex::new(&src);
         let (kept, suppressed) = filter_suppressed(diags, &directives, &index);
         let (kept, baselined) = match &baseline {
             Some(b) => b.filter(path, kept),
@@ -1013,7 +1021,7 @@ fn parse_server_flags<'a>(
             .ok()
             .and_then(|v| v.parse().ok())
             .filter(|&n| n >= 1)
-            .unwrap_or_else(magik::available_parallelism),
+            .unwrap_or_else(magik_exec::available_parallelism),
         data_dir: None,
         durability: DurabilityOptions::default(),
     };
@@ -1099,7 +1107,7 @@ fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(flags) => flags,
         Err(code) => return code,
     };
-    let exec = magik::Executor::with_threads(threads);
+    let exec = magik_exec::Executor::with_threads(threads);
     let preload = match &file {
         Some(path) => {
             let (vocab, doc, _) = match load(path) {
@@ -1146,8 +1154,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             Some((vocab, doc)) => Engine::with_session_on(vocab, doc.tcs, doc.facts, exec),
             None => Engine::with_session_on(
                 Vocabulary::new(),
-                magik::TcSet::new(Vec::new()),
-                magik::Instance::new(),
+                magik_completeness::TcSet::new(Vec::new()),
+                magik_relalg::Instance::new(),
                 exec,
             ),
         },
@@ -1223,7 +1231,7 @@ fn cmd_replicate(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    let exec = magik::Executor::with_threads(threads);
+    let exec = magik_exec::Executor::with_threads(threads);
     let (engine, report) = match Engine::open_durable(std::path::Path::new(&dir), durability, exec)
     {
         Ok(x) => x,
@@ -1302,7 +1310,7 @@ fn cmd_recover(args: &[String]) -> ExitCode {
         return ExitCode::from(1);
     };
     let path = std::path::Path::new(&dir);
-    let recovery = match magik::storage::Store::peek(path) {
+    let recovery = match magik_storage::Store::peek(path) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("magik: `{dir}` is not recoverable: {e}");
@@ -1335,7 +1343,7 @@ fn cmd_recover(args: &[String]) -> ExitCode {
         println!("torn tail: {} byte(s) discarded", recovery.discarded_bytes);
     }
     if verify {
-        match Engine::verify_recovery(path, magik::Executor::Sequential) {
+        match Engine::verify_recovery(path, magik_exec::Executor::Sequential) {
             Ok(report) => println!(
                 "verify: OK — replay of {} op(s) reaches epochs (tcs={}, data={})",
                 report.replayed_ops, report.tcs_epoch, report.data_epoch

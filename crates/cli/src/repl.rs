@@ -3,11 +3,12 @@
 
 use std::io::{BufRead, Write};
 
-use magik::{
-    answers, count_bounds, counterexample, explain_check, is_complete, is_complete_under, k_mcs,
-    mcg, mcg_under, parse_document, parse_query, print_document, render_counterexample,
-    render_explanation, DisplayWith, Document, KMcsOptions, Query, Vocabulary,
+use magik_completeness::{
+    count_bounds, counterexample, explain_check, is_complete, is_complete_under, k_mcs, mcg,
+    mcg_under, render_counterexample, render_explanation, KMcsOptions,
 };
+use magik_parser::{parse_document, parse_query, print_document, Document};
+use magik_relalg::{answers, DisplayWith, Query, Vocabulary};
 
 const REPL_HELP: &str = "commands:
   compl <atom> ; <cond>.        add a table-completeness statement

@@ -193,32 +193,6 @@ pub fn certify(q: &Query, tcs: &TcSet) -> Certificate {
     }
 }
 
-/// Like [`crate::mcg`], but pairs the generalization with its completeness
-/// witness (an MCG is complete by construction).
-pub fn mcg_certified(q: &Query, tcs: &TcSet) -> Option<(Query, CompleteCert)> {
-    let g = crate::generalize::mcg(q, tcs)?;
-    let cert = complete_cert(&g, tcs).expect("the MCG is complete by construction");
-    Some((g, cert))
-}
-
-/// Like [`crate::k_mcs`], but pairs every specialization with its
-/// completeness witness (each k-MCS is complete by construction).
-pub fn k_mcs_certified(
-    q: &Query,
-    tcs: &TcSet,
-    vocab: &mut magik_relalg::Vocabulary,
-    options: crate::specialize::KMcsOptions,
-) -> Vec<(Query, CompleteCert)> {
-    crate::specialize::k_mcs(q, tcs, vocab, options)
-        .queries
-        .into_iter()
-        .map(|s| {
-            let cert = complete_cert(&s, tcs).expect("each k-MCS is complete by construction");
-            (s, cert)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,11 +301,23 @@ mod tests {
         let mut v = Vocabulary::new();
         let tcs = school_tcs(&mut v);
         let q = q_pbl(&mut v);
-        let (g, cert) = mcg_certified(&q, &tcs).expect("q_pbl has an MCG");
-        assert_eq!(check_complete(&g, &cert_statements(&tcs), &cert), Ok(()));
-        let specs = k_mcs_certified(&q, &tcs, &mut v, crate::specialize::KMcsOptions::new(1));
-        for (s, cert) in &specs {
-            assert_eq!(check_complete(s, &cert_statements(&tcs), cert), Ok(()));
+        let statements = cert_statements(&tcs);
+        let g = crate::generalize::mcg(&q, &tcs).expect("q_pbl has an MCG");
+        let cert = certify(&g, &tcs);
+        assert!(
+            matches!(cert, Certificate::Complete(_)),
+            "the MCG is complete"
+        );
+        assert_eq!(check_certificate(&g, &statements, &cert), Ok(()));
+        let specs =
+            crate::specialize::k_mcs(&q, &tcs, &mut v, crate::specialize::KMcsOptions::new(1));
+        for s in &specs.queries {
+            let cert = certify(s, &tcs);
+            assert!(
+                matches!(cert, Certificate::Complete(_)),
+                "each k-MCS is complete"
+            );
+            assert_eq!(check_certificate(s, &statements, &cert), Ok(()));
         }
     }
 

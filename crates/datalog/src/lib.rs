@@ -19,6 +19,11 @@
 //! * [`Program::dependency_graph`] and [`Program::is_recursive`] expose the
 //!   predicate dependency structure.
 //!
+//! No serving path evaluates Datalog: the server answers `guaranteed` by
+//! applying `T_C` directly (equation (1)). The engine backs the parser's
+//! rule programs, the analyzer's encoding passes, the `tc_apply_datalog`
+//! cross-validation of the Section 5 encoding, and the benches.
+//!
 //! # Example — transitive closure
 //!
 //! ```
@@ -57,9 +62,7 @@
 mod eval;
 mod incremental;
 mod program;
-mod provenance;
 
 pub use eval::FixpointResult;
 pub use incremental::{MaterializeError, Materialized, RetractStats};
 pub use program::{Program, ProgramError, Rule};
-pub use provenance::{DerivationTree, Justification, Provenance};

@@ -58,11 +58,6 @@ impl CompiledQuery {
         ans
     }
 
-    /// `true` iff the query has at least one answer over `db`.
-    pub fn has_any_answer<S: StoreView + ?Sized>(&self, db: &S, stats: &mut ExecStats) -> bool {
-        self.plan.first_match(db, &[], stats)
-    }
-
     /// The source query.
     pub fn query(&self) -> &Query {
         &self.query
@@ -278,7 +273,6 @@ mod tests {
         let ans = cq.answers(&db, &mut stats);
         assert_eq!(ans, magik_relalg::answers(&q, &db).unwrap());
         assert!(stats.rows >= 1);
-        assert!(cq.has_any_answer(&db, &mut stats));
 
         // Same compiled plan, later instance version: still correct.
         db.insert(fact(&mut v, e, &["c", "d"]));

@@ -19,16 +19,16 @@
 //!   `explain-plan` command;
 //! * [`Executor`] — the pluggable parallel executor (sequential, or
 //!   fork-join over the shared work-stealing `magik-runtime` pool) that
-//!   the Datalog fixpoints, the k-MCS search, and the server fan out on;
-//! * [`reference`] — the seed backtracking evaluator, preserved verbatim
-//!   as the oracle for equivalence tests and the baseline for benches.
+//!   the Datalog fixpoints, the k-MCS search, and the server fan out on.
+//!
+//! The seed backtracking evaluator these plans replaced is preserved as
+//! the test-only oracle `magik_oracle::seed_eval`.
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod compiled;
 mod executor;
 mod explain;
-pub mod reference;
 
 pub use compiled::{CompiledBody, CompiledQuery};
 pub use executor::{available_parallelism, partition, Executor, PoolCounters, ThreadPool};

@@ -2,7 +2,7 @@
 //!
 //! Random conjunctive queries and ground instances over a small fixed
 //! schema; each property asserts that the compiled-plan executor and the
-//! preserved dynamic-ordering oracle in [`magik_exec::reference`] compute
+//! preserved dynamic-ordering oracle in [`magik_oracle::seed_eval`] compute
 //! exactly the same thing — answer sets, boolean `has_answer` probes,
 //! homomorphism sets, and errors for unsafe heads.
 
@@ -10,8 +10,8 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use magik_exec::reference;
 use magik_exec::{CompiledQuery, ExecStats};
+use magik_oracle::seed_eval as reference;
 use magik_relalg::batch::{Batch, BatchPlan, JoinStrategy};
 use magik_relalg::exec::{Plan, Projection};
 use magik_relalg::{

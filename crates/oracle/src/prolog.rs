@@ -2,7 +2,7 @@
 //!
 //! The paper's Section 5 implements the specialization algorithms by
 //! *backward rule application* in SWI-Prolog, because specialization is
-//! driven by unification. This crate is the from-scratch analogue of that
+//! driven by unification. This module is the from-scratch analogue of that
 //! substrate: a small logic-programming engine with
 //!
 //! * first-order **terms** with compound structure ([`Term`]), parsed from
@@ -14,14 +14,14 @@
 //!
 //! The completeness reasoner itself unifies flat relational atoms and uses
 //! `magik-unify` directly; this engine demonstrates (and tests) the same
-//! search discipline on general terms, and the `prolog_spec` integration
-//! test of the umbrella crate runs the paper's specialization example on
-//! it end to end.
+//! search discipline on general terms, and the umbrella crate's
+//! `engine_cross_validation` test checks query evaluation and the
+//! completeness check against backward chaining on it.
 //!
 //! # Example
 //!
 //! ```
-//! use magik_prolog::KnowledgeBase;
+//! use magik_oracle::prolog::KnowledgeBase;
 //!
 //! let mut kb = KnowledgeBase::new();
 //! kb.consult(
@@ -33,9 +33,6 @@
 //! assert_eq!(result.solutions.len(), 3); // all splits of [a, b]
 //! assert!(result.complete);
 //! ```
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod kb;
 mod parse;
 mod solve;

@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::parse::{parse_program, parse_query, ParseError};
-use crate::term::{Sym, Term};
+use super::parse::{parse_program, parse_query, ParseError};
+use super::term::{Sym, Term};
 
 /// A Horn clause `head :- body`. Facts have an empty body.
 ///
@@ -104,7 +104,7 @@ impl KnowledgeBase {
     /// adds every clause.
     ///
     /// ```
-    /// # use magik_prolog::KnowledgeBase;
+    /// # use magik_oracle::prolog::KnowledgeBase;
     /// let mut kb = KnowledgeBase::new();
     /// kb.consult("parent(tom, bob). grandparent(X, Z) :- parent(X, Y), parent(Y, Z).").unwrap();
     /// assert_eq!(kb.len(), 2);

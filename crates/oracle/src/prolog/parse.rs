@@ -9,8 +9,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::kb::{Clause, KnowledgeBase};
-use crate::term::Term;
+use super::kb::{Clause, KnowledgeBase};
+use super::term::Term;
 
 /// A parse error with a byte offset into the source.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,8 +1,8 @@
 //! SLD resolution with trail-based backtracking.
 
-use crate::kb::{Clause, KnowledgeBase};
-use crate::parse::ParseError;
-use crate::term::Term;
+use super::kb::{Clause, KnowledgeBase};
+use super::parse::ParseError;
+use super::term::Term;
 
 /// Search bounds and semantics options.
 #[derive(Debug, Clone, Copy)]
@@ -75,7 +75,7 @@ pub struct Solver<'a> {
     trail: Vec<usize>,
     steps: usize,
     truncated: bool,
-    builtins: Vec<(crate::term::Sym, usize, Builtin)>,
+    builtins: Vec<(super::term::Sym, usize, Builtin)>,
 }
 
 impl<'a> Solver<'a> {
@@ -109,7 +109,7 @@ impl<'a> Solver<'a> {
         }
     }
 
-    fn builtin_of(&self, functor: crate::term::Sym, arity: usize) -> Option<Builtin> {
+    fn builtin_of(&self, functor: super::term::Sym, arity: usize) -> Option<Builtin> {
         self.builtins
             .iter()
             .find(|&&(f, a, _)| f == functor && a == arity)

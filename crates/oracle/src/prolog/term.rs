@@ -1,6 +1,6 @@
 //! First-order terms with compound structure.
 
-/// An interned functor or atom name (see [`crate::KnowledgeBase`]).
+/// An interned functor or atom name (see [`super::KnowledgeBase`]).
 pub type Sym = u32;
 
 /// A first-order term.

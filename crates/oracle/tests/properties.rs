@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use magik_prolog::{KnowledgeBase, SolverConfig, Term};
+use magik_oracle::prolog::{KnowledgeBase, SolverConfig, Term};
 
 const LIST_THEORY: &str = "
     append(nil, Y, Y).

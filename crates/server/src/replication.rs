@@ -56,7 +56,7 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use magik_storage::{crc32, install_checkpoint, Store, WalRecord, MAX_FRAME_PAYLOAD};
+use magik_storage::{install_checkpoint, FrameHeader, Store, WalRecord, FRAME_HEADER_LEN};
 
 use crate::engine::Engine;
 
@@ -163,29 +163,14 @@ fn io_other(e: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::other(e.to_string())
 }
 
-/// Writes one WAL-format frame to the stream.
-fn write_frame(w: &mut impl Write, rec: &WalRecord) -> std::io::Result<()> {
-    let payload = rec.encode_payload();
-    let len = u32::try_from(payload.len()).map_err(io_other)?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&crc32(&payload).to_le_bytes())?;
-    w.write_all(&payload)
-}
-
 /// Reads and validates one WAL-format frame from the stream.
 fn read_frame(r: &mut impl Read) -> std::io::Result<WalRecord> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER_LEN];
     r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len == 0 || len > MAX_FRAME_PAYLOAD {
-        return Err(io_other(format!("replication frame of {len} bytes")));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let header = FrameHeader::parse(header).map_err(io_other)?;
+    let mut payload = vec![0u8; header.payload_len()];
     r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(io_other("replication frame CRC mismatch"));
-    }
+    header.check(&payload).map_err(io_other)?;
     WalRecord::decode_payload(&payload).map_err(io_other)
 }
 
@@ -254,7 +239,7 @@ pub(crate) fn serve_replica(
             }
             last_sum = rec.epoch_sum();
         }
-        write_frame(stream, rec)?;
+        stream.write_all(&rec.encode_frame())?;
         engine.metrics().record_repl_shipped(1);
         Ok(())
     };
@@ -269,13 +254,11 @@ pub(crate) fn serve_replica(
             Ok(rec) => ship(&mut stream, &rec)?,
             Err(RecvTimeoutError::Timeout) => {
                 let (te, de) = engine.epochs();
-                write_frame(
-                    &mut stream,
-                    &WalRecord::Mark {
-                        tcs_epoch: te,
-                        data_epoch: de,
-                    },
-                )?;
+                let mark = WalRecord::Mark {
+                    tcs_epoch: te,
+                    data_epoch: de,
+                };
+                stream.write_all(&mark.encode_frame())?;
                 stream.flush()?;
             }
             // The hub dropped this subscription (queue overflow) or the
@@ -474,4 +457,59 @@ fn parse_epoch_header(line: &str) -> Option<(u64, u64)> {
         }
     }
     Some((te?, de?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use magik_storage::{FsyncPolicy, OpKind, StoreOptions};
+
+    /// One encoder writes WAL segments and the replication stream: the
+    /// bytes a `Store` appends are the bytes replication ships, the
+    /// segment parser (recovery) and the stream reader both accept them,
+    /// and both reject the frame once a payload byte flips.
+    #[test]
+    fn one_frame_codec_serves_segments_and_streams() {
+        let dir = std::env::temp_dir().join(format!("magik-repl-codec-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = StoreOptions {
+            fsync: FsyncPolicy::Always,
+            ..StoreOptions::default()
+        };
+        let (mut store, _) = Store::open(&dir, opts).expect("open store");
+        let rec = WalRecord::Op {
+            kind: OpKind::Assert,
+            text: "edge(a, b).".to_string(),
+            tcs_epoch: 0,
+            data_epoch: 1,
+        };
+        store.append(&rec).expect("append");
+        drop(store);
+        let segment = std::fs::read_dir(&dir)
+            .expect("list store")
+            .map(|e| e.expect("dir entry").path())
+            .find(|p| p.extension().is_some_and(|x| x == "log"))
+            .expect("a WAL segment");
+        let bytes = std::fs::read(&segment).expect("read segment");
+        let frame = rec.encode_frame();
+        assert!(bytes.ends_with(&frame), "disk and wire frames differ");
+        let payload = &frame[FRAME_HEADER_LEN..];
+        assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+
+        assert_eq!(Store::peek(&dir).expect("recover").tail, vec![rec.clone()]);
+        assert_eq!(read_frame(&mut frame.as_slice()).expect("stream"), rec);
+
+        let mut flipped = frame.clone();
+        *flipped.last_mut().expect("payload") ^= 0x01;
+        let at = bytes.len() - frame.len();
+        std::fs::write(&segment, [&bytes[..at], &flipped].concat()).expect("flip on disk");
+        // In the final segment a bad frame is a torn tail: recovery
+        // discards it rather than replaying it.
+        let recovery = Store::peek(&dir).expect("recover");
+        assert_eq!(recovery.tail, vec![]);
+        assert_eq!(recovery.discarded_bytes, flipped.len() as u64);
+        let err = read_frame(&mut flipped.as_slice()).expect_err("stream rejects");
+        assert_eq!(err.to_string(), "frame CRC mismatch");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

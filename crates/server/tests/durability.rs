@@ -229,6 +229,72 @@ fn wal_and_checkpoint_metrics_are_reported() {
 }
 
 #[test]
+fn failed_append_poisons_storage_but_reads_keep_serving() {
+    let dir = data_dir("poison");
+    let (engine, _) = Engine::open_durable(
+        &dir,
+        DurabilityOptions {
+            fsync: FsyncPolicy::Always,
+            segment_bytes: 1,
+            checkpoint_every: 0,
+        },
+        magik_exec::Executor::Sequential,
+    )
+    .expect("durable open");
+    assert_eq!(
+        engine.handle("compl pupil(N, C, S) ; school(S, T, merano)."),
+        "ok epoch=1"
+    );
+    assert_eq!(
+        engine.handle("assert school(hofer, primary, merano)."),
+        "ok inserted"
+    );
+    // The store raises `segment_bytes` to its 64-byte floor. The live
+    // segment is past it, so the next append rotates to a new segment
+    // first.
+    let live = std::fs::read_dir(&dir)
+        .expect("list data dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8")
+        })
+        .filter(|name| name.starts_with("wal-") && name.ends_with(".log"))
+        .max()
+        .expect("a live segment");
+    assert!(std::fs::metadata(dir.join(&live)).expect("stat").len() >= 64);
+    // Rotation creates the next segment with `create_new`; a directory
+    // squatting on that path makes it fail.
+    let seq: u64 = live["wal-".len()..live.len() - ".log".len()]
+        .parse()
+        .expect("segment number");
+    std::fs::create_dir(dir.join(format!("wal-{:020}.log", seq + 1))).expect("squat");
+
+    let epochs = engine.handle("epochs");
+    let eval = engine.handle("eval q(S) :- school(S, T, D).");
+    let reply = engine.handle("assert pupil(anna, c1, hofer).");
+    assert!(reply.starts_with("err storage "), "{reply}");
+    // The failed append left memory untouched...
+    assert_eq!(engine.handle("epochs"), epochs);
+    assert_eq!(engine.handle("eval q(S) :- school(S, T, D)."), eval);
+    // ...and poisoned the layer: later mutations are refused outright.
+    let reply = engine.handle("assert pupil(bob, c1, hofer).");
+    assert!(
+        reply.starts_with("err storage ") && reply.contains("poisoned"),
+        "{reply}"
+    );
+    // Reads keep serving.
+    let reply = engine.handle("check q(N) :- pupil(N, C, S), school(S, primary, merano).");
+    assert!(reply.starts_with("ok "), "{reply}");
+    let reply = engine.handle("eval q(N) :- pupil(N, C, S).");
+    assert!(reply.starts_with("ok "), "{reply}");
+    // Shutdown refuses to flush state the log no longer reflects.
+    assert!(engine.shutdown_durability().is_err());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn duplicate_asserts_and_absent_retracts_are_not_logged() {
     let dir = data_dir("noop");
     {

@@ -39,10 +39,52 @@ use crate::StorageError;
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"MGKWAL01";
 
 /// The largest payload a frame may declare. Request lines are capped at
-/// 1 MiB by the server; anything past this is corrupt or torn. Public so
-/// the replication stream (which reuses the frame layout over TCP) can
-/// enforce the same bound.
-pub const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
+/// 1 MiB by the server; anything past this is corrupt or torn.
+const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
+
+/// Bytes of frame header before the payload: `[payload_len][crc32]`.
+pub const FRAME_HEADER_LEN: usize = 8;
+
+/// A frame header whose declared payload length is in bounds.
+///
+/// Segment files and the replication stream share one frame layout, so
+/// both frame readers validate through this type: [`FrameHeader::parse`]
+/// bounds the declared length and [`FrameHeader::check`] verifies the
+/// payload CRC.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameHeader {
+    len: usize,
+    crc: u32,
+}
+
+impl FrameHeader {
+    /// Decodes a header, rejecting a zero or over-long payload length.
+    pub fn parse(header: [u8; FRAME_HEADER_LEN]) -> Result<FrameHeader, &'static str> {
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        if len == 0 || len > MAX_FRAME_PAYLOAD {
+            return Err("implausible frame length");
+        }
+        Ok(FrameHeader {
+            len: len as usize,
+            crc,
+        })
+    }
+
+    /// The payload length the header declares.
+    pub fn payload_len(self) -> usize {
+        self.len
+    }
+
+    /// Verifies `payload` against the header's CRC.
+    pub fn check(self, payload: &[u8]) -> Result<(), &'static str> {
+        if crc32(payload) == self.crc {
+            Ok(())
+        } else {
+            Err("frame CRC mismatch")
+        }
+    }
+}
 
 /// When (if ever) appends flush to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -164,20 +206,24 @@ impl WalRecord {
         t + d
     }
 
-    /// Serializes the record as a frame payload. Log-shipping replication
-    /// sends these over TCP wrapped in the same
-    /// `[payload_len: u32 LE][crc32: u32 LE][payload]` framing that
-    /// segment files use, so a replica validates network frames with the
-    /// exact code path that validates disk frames.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.encode(&mut out);
-        out
+    /// Serializes the record as one whole frame, header included. The
+    /// WAL writer appends these to segment files, and log-shipping
+    /// replication sends the same bytes over TCP.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut frame = vec![0; FRAME_HEADER_LEN];
+        self.encode(&mut frame);
+        let payload = &frame[FRAME_HEADER_LEN..];
+        let len = u32::try_from(payload.len()).expect("payload fits u32");
+        let crc = crc32(payload);
+        frame[..4].copy_from_slice(&len.to_le_bytes());
+        frame[4..FRAME_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        frame
     }
 
-    /// Decodes a frame payload produced by [`WalRecord::encode_payload`]
-    /// (or the WAL writer). The caller is expected to have verified the
-    /// frame CRC already; this rejects structurally invalid payloads.
+    /// Decodes the payload of a frame produced by
+    /// [`WalRecord::encode_frame`]. The caller is expected to have
+    /// checked the frame already ([`FrameHeader::check`]); this rejects
+    /// structurally invalid payloads.
     pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
         WalRecord::decode(payload).map_err(|e| e.to_string())
     }
@@ -324,23 +370,16 @@ pub(crate) fn scan_segment(path: &Path, allow_torn: bool) -> Result<SegmentScan,
 /// and the total frame length, or a reason the frame is invalid (which at
 /// the tail of the final segment means "torn").
 fn parse_frame(data: &[u8]) -> Result<(&[u8], usize), &'static str> {
-    if data.len() < 8 {
+    let Some(header) = data.first_chunk::<FRAME_HEADER_LEN>() else {
         return Err("incomplete frame header");
-    }
-    let len = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-    let crc = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-    if len == 0 || len > MAX_FRAME_PAYLOAD {
-        return Err("implausible frame length");
-    }
-    let len = len as usize;
-    if data.len() < 8 + len {
+    };
+    let header = FrameHeader::parse(*header)?;
+    let end = FRAME_HEADER_LEN + header.payload_len();
+    let Some(payload) = data.get(FRAME_HEADER_LEN..end) else {
         return Err("incomplete frame payload");
-    }
-    let payload = &data[8..8 + len];
-    if crc32(payload) != crc {
-        return Err("frame CRC mismatch");
-    }
-    Ok((payload, 8 + len))
+    };
+    header.check(payload)?;
+    Ok((payload, end))
 }
 
 /// The result of one append.
@@ -409,16 +448,7 @@ impl Wal {
         if self.written >= self.segment_bytes {
             self.rotate()?;
         }
-        let mut payload = Vec::with_capacity(64);
-        rec.encode(&mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("payload fits u32")
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = rec.encode_frame();
         self.file.write_all(&frame)?;
         self.written += frame.len() as u64;
         self.dirty = true;

@@ -14,11 +14,11 @@
 //! Run with: `cargo run --example engines_tour`
 
 use magik::datalog::{Program, Rule};
-use magik::prolog::KnowledgeBase;
 use magik::workload::paper::school;
 use magik::{
     canonical_database, is_complete, tc_encoding, Atom, DisplayWith, Fact, Instance, Term,
 };
+use magik_oracle::prolog::KnowledgeBase;
 
 fn main() {
     let w = school();

@@ -11,13 +11,13 @@
 //!   *backwards* on the Prolog engine (the `Rⁱ`/`Rᵃ` rules queried as
 //!   goals).
 
-use magik::prolog::{KnowledgeBase, SolverConfig};
 use magik::workload::paper::school;
 use magik::workload::synth::{school_instance, SchoolDataConfig};
 use magik::{
     answers, canonical_database, is_complete, parse_query, tc_apply, tc_apply_datalog, Cst,
     DisplayWith, Instance, Query, Term, Vocabulary,
 };
+use magik_oracle::prolog::{KnowledgeBase, SolverConfig};
 
 /// Renders a constant in Prolog-friendly lowercase form.
 fn prolog_cst(c: Cst, vocab: &Vocabulary) -> String {
